@@ -16,30 +16,12 @@
 #       exact history the pre-refactor simulator produced). Regenerate
 #       goldens only for a deliberate, reviewed behaviour change:
 #         build/tools/planetlab <args> --json tests/determinism/golden/NAME.json
-#
-#   --golden-min-cores N (before --golden) skips the golden comparison on
-#       machines with fewer than N cores: sharded goldens are recorded with
-#       one worker thread per shard, and a smaller machine runs a degraded
-#       (still deterministic, but differently scheduled) configuration.
-#       Run-to-run identity is always enforced.
 set -euo pipefail
 
 golden=""
-golden_min_cores=0
-if [[ "$1" == "--golden-min-cores" ]]; then
-  golden_min_cores=$2
-  shift 2
-fi
 if [[ "$1" == "--golden" ]]; then
   golden=$2
   shift 2
-fi
-
-cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-if [[ -n "$golden" && "$golden_min_cores" -gt 0 && "$cores" -lt "$golden_min_cores" ]]; then
-  echo "byte_identity: $cores core(s) < $golden_min_cores required for the" \
-       "golden configuration; checking run-to-run identity only"
-  golden=""
 fi
 
 bin=$1
