@@ -141,7 +141,6 @@ int RunMega(const SweepOptions& opts) {
   point.Param("sessions", (long long)total_sessions);
   point.Param("think_s", 100.0);
   point.Param("duration_s", (long long)(kRun / 1000000));
-  point.Scalar("windows", double(sharded.windows()));
   point.Metrics(merged, kRun);
   json.Add(std::move(point));
   ExportMetricsJson(opts, json);

@@ -27,9 +27,9 @@
 #include "common/rng.h"
 #include "harness/cluster.h"
 #include "harness/metrics_json.h"
+#include "harness/sharded_cluster.h"
 #include "planet/predictor.h"
 #include "sim/network.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "storage/store.h"
 
@@ -108,8 +108,8 @@ ComponentResult BenchSimScheduleRun(uint64_t ops, int reps) {
 
 /// Self-refilling event pump: every fired event schedules its successor, so
 /// each shard carries a steady 256-deep queue without any cross-shard
-/// traffic — the free-run fast path of the sharded runtime (one window,
-/// zero synchronization after startup).
+/// traffic — the shape of a sharded drain (DrainShards, one thread per
+/// shard, no synchronization between start and join).
 struct ShardPump {
   Simulator* sim;
   uint64_t* remaining;
@@ -127,11 +127,9 @@ ComponentResult BenchShardedRun(int shards, uint64_t ops, int reps,
   // this scales with min(shards, cores); the committed baseline records
   // what the CI machine actually provides.
   return Measure(name, ops, reps, [shards, ops] {
-    ResetInlineFunctionHeapFallbacks();
     uint64_t per_shard = ops / static_cast<uint64_t>(shards);
     std::vector<std::unique_ptr<Simulator>> sims;
     std::vector<uint64_t> remaining(static_cast<size_t>(shards), per_shard);
-    ShardedRuntime rt;  // no cross-shard traffic: unbounded lookahead
     for (int s = 0; s < shards; ++s) {
       sims.push_back(std::make_unique<Simulator>());
       Simulator* sim = sims.back().get();
@@ -140,13 +138,21 @@ ComponentResult BenchShardedRun(int shards, uint64_t ops, int reps,
       for (uint64_t i = 0; i < std::min(kBatch, per_shard); ++i) {
         sim->Schedule(Duration(i & 255), ShardPump{sim, rem});
       }
-      rt.AddShard(sim);
+      sim->DetachFromThread();
     }
-    rt.Run();
-    // The pump closure is 16 bytes: if it ever stops fitting inline the
-    // whole measurement silently becomes an allocator benchmark.
-    PLANET_CHECK(rt.TotalHeapFallbacks() == 0);
-    DoNotOptimize(rt.TotalEventsProcessed());
+    DrainShards(shards, [&sims](int s) {
+      // The pump closure is 16 bytes: if it ever stops fitting inline the
+      // whole measurement silently becomes an allocator benchmark. The
+      // counter is thread-local, so this delta is exactly this shard's.
+      uint64_t before = InlineFunctionHeapFallbacks();
+      Simulator* sim = sims[static_cast<size_t>(s)].get();
+      sim->Run();
+      sim->DetachFromThread();
+      PLANET_CHECK(InlineFunctionHeapFallbacks() == before);
+    });
+    uint64_t events = 0;
+    for (const auto& sim : sims) events += sim->events_processed();
+    DoNotOptimize(events);
   });
 }
 

@@ -36,9 +36,10 @@ namespace planet {
 namespace internal {
 /// Counts heap-fallback constructions *per thread*. Thread-local rather
 /// than a shared atomic: the counter is a tripwire read as a before/after
-/// delta, and under the sharded runtime (sim/sharded.h) a process-wide
-/// counter would let one shard's fallbacks trip another shard's (or a
-/// best-of-N benchmark iteration's) delta check. Each worker thread now
+/// delta, and when shards drain on their own threads
+/// (harness/sharded_cluster.h) a process-wide counter would let one shard's
+/// fallbacks trip another shard's (or a best-of-N benchmark iteration's)
+/// delta check. Each worker thread now
 /// observes exactly its own constructions, with no cross-thread traffic at
 /// all on the hot path.
 inline thread_local uint64_t t_inline_function_heap_fallbacks = 0;

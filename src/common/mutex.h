@@ -185,7 +185,7 @@ class LockOrderGraph {
 /// A std::mutex with TSA capability attributes. Also satisfies the standard
 /// BasicLockable / Lockable requirements (lock/unlock/try_lock), so it can
 /// back a std::condition_variable_any wait. Optionally named, so validator
-/// diagnostics read "'ShardedRuntime::mu_'" instead of a pointer.
+/// diagnostics read "'ThreadPool::mu_'" instead of a pointer.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

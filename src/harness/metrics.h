@@ -10,7 +10,7 @@
 namespace planet {
 
 /// Aggregates TxnResults from any stack's load generators.
-// Sharded runs keep one RunMetrics per WorkerContext (worker-private) and
+// Sharded runs keep one RunMetrics per shard (worker-private) and
 // merge them in shard order after the workers join; never shared live.
 struct RunMetrics {  // planet-lint: allow(shard-unchecked)
   uint64_t committed = 0;

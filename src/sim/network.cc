@@ -122,17 +122,6 @@ Duration Network::SampleLatency(DcId src, DcId dst) {
   return SampleCell(Cell(src, dst), src, dst);
 }
 
-Duration Network::MinLinkFloor() const {
-  // The default cell covers DCs that were registered but never explicitly
-  // configured, so it participates whenever the matrix could still grow or
-  // hold default links.
-  Duration floor = default_cell_.min_latency;
-  for (const LinkState& cell : links_) {
-    floor = std::min(floor, cell.min_latency);
-  }
-  return floor;
-}
-
 bool Network::PrepareSend(NodeId src, NodeId dst, Duration* delay) {
   DcId src_dc = DcOf(src);
   DcId dst_dc = DcOf(dst);

@@ -130,16 +130,9 @@ class Network {
   /// Samples what the one-way latency would be right now (no send).
   Duration SampleLatency(DcId src, DcId dst);
 
-  /// The smallest one-way delay any message on this fabric can experience:
-  /// the minimum `min_latency` over every configured link cell (every
-  /// sampled delay is clamped to its cell's floor, and loss/degradation
-  /// only add delay). This is the conservative-lookahead bound the sharded
-  /// runtime derives its exchange horizon from (sim/sharded.h): a message
-  /// sent at time t can never need delivery before t + MinLinkFloor().
-  Duration MinLinkFloor() const;
-
   /// Releases single-owner thread affinity (ownership transfer); part of
-  /// the Cluster::DetachFromThread hand-off the sharded runtime relies on.
+  /// the Cluster::DetachFromThread hand-off of a sharded drain
+  /// (harness/sharded_cluster.h).
   void DetachFromThread() { thread_checker_.DetachFromThread(); }
 
   /// Introspection for experiments.

@@ -107,38 +107,6 @@ void Simulator::RunUntil(SimTime t) {
   now_ = t;
 }
 
-void Simulator::RunWindow(SimTime end) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    if (SlotAt(top.slot()).seq != top.seq()) {  // cancelled
-      HeapPopRoot();
-      --stale_;
-      continue;
-    }
-    if (end != kSimTimeMax && top.time >= end) break;
-    Step();
-  }
-  if (end != kSimTimeMax) {
-    PLANET_CHECK_MSG(end >= now_, "window end=" << end << " now=" << now_);
-    now_ = end;
-  }
-}
-
-SimTime Simulator::NextEventTime() {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    if (SlotAt(top.slot()).seq != top.seq()) {  // cancelled
-      HeapPopRoot();
-      --stale_;
-      continue;
-    }
-    return top.time;
-  }
-  return kSimTimeMax;
-}
-
 void Simulator::HeapPush(HeapEntry e) {
   heap_.push_back(e);  // grows the array; e's final position is found below
   size_t i = heap_.size() - 1;

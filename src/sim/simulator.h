@@ -101,20 +101,6 @@ class Simulator {
   /// Runs all events with time <= t, then advances the clock to t.
   void RunUntil(SimTime t);
 
-  /// Conservative-window variant for the sharded runtime (sim/sharded.h):
-  /// runs all events with time strictly < `end`, then advances the clock to
-  /// `end`. Events at exactly `end` belong to the next window — the sharded
-  /// exchange delivers cross-shard messages with deliver-at >= the window
-  /// end, so the strict bound is what makes the horizon safe. `end` ==
-  /// kSimTimeMax drains the queue without touching the clock (single
-  /// unbounded window).
-  void RunWindow(SimTime end);
-
-  /// Time of the earliest pending event, or kSimTimeMax when the queue is
-  /// empty. Prunes stale heap entries (cancelled-event tombstones) from the
-  /// root on the way, so it is not const; it processes nothing.
-  SimTime NextEventTime();
-
   /// Runs events for `d` more microseconds of simulated time.
   void RunFor(Duration d) { RunUntil(now_ + d); }
 

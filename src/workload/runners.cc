@@ -1,6 +1,7 @@
 #include "workload/runners.h"
 
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -44,6 +45,74 @@ struct InFlight {
   bool midflight_sampled = false;
   double midflight_likelihood = 0.0;
 };
+
+/// The read-modify-write transaction both coordinator clients run: read
+/// every key, then write each write key back incremented (or Add(1) when
+/// the workload is commutative and the client supports it), then commit.
+template <typename ClientT>
+TxnRunner MakeRmwRunner(ClientT* client, const WorkloadConfig& config,
+                        Rng rng) {
+  auto core = std::make_shared<RunnerCore>(config, rng);
+  Simulator* sim = client->simulator();
+  return [client, core, sim](std::function<void(TxnResult)> done) {
+    std::vector<Key> write_keys, read_keys;
+    core->DrawKeys(&write_keys, &read_keys);
+
+    auto fly = std::make_shared<InFlight>();
+    fly->write_keys = write_keys;
+    fly->begin = sim->Now();
+    fly->done = std::move(done);
+    fly->reads_remaining =
+        static_cast<int>(write_keys.size() + read_keys.size());
+
+    TxnId txn = client->Begin();
+    auto commit_if_ready = [client, core, fly, txn, sim] {
+      if (fly->reads_remaining > 0) return;
+      for (Key key : fly->write_keys) {
+        Status st;
+        if constexpr (std::is_same_v<ClientT, Client>) {
+          st = core->config.commutative
+                   ? client->Add(txn, key, 1)
+                   : client->Write(txn, key, fly->values[key] + 1);
+        } else {
+          st = client->Write(txn, key, fly->values[key] + 1);
+        }
+        PLANET_CHECK_MSG(st.ok(), st.ToString());
+      }
+      client->Commit(txn, [fly, sim](Status status) {
+        TxnResult result;
+        result.status = std::move(status);
+        result.latency = sim->Now() - fly->begin;
+        result.user_latency = result.latency;
+        fly->done(result);
+      });
+    };
+
+    std::vector<Key> all_keys = write_keys;
+    all_keys.insert(all_keys.end(), read_keys.begin(), read_keys.end());
+    for (Key key : all_keys) {
+      client->Read(
+          txn, key,
+          [client, sim, fly, txn, key,
+           commit_if_ready](Status status, RecordView v) {
+            if (fly->failed) return;
+            if (!status.ok()) {
+              fly->failed = true;
+              client->AbortEarly(txn);
+              TxnResult result;
+              result.status = std::move(status);
+              result.latency = sim->Now() - fly->begin;
+              result.user_latency = result.latency;
+              fly->done(result);
+              return;
+            }
+            fly->values[key] = v.value;
+            --fly->reads_remaining;
+            commit_if_ready();
+          });
+    }
+  };
+}
 
 }  // namespace
 
@@ -151,123 +220,14 @@ TxnRunner MakePlanetRunner(PlanetClient* client, const WorkloadConfig& config,
 
 TxnRunner MakeMdccRunner(Client* client, const WorkloadConfig& config,
                          Rng rng) {
-  auto core = std::make_shared<RunnerCore>(config, rng);
-  Simulator* sim = client->simulator();
-  return [client, core, sim](std::function<void(TxnResult)> done) {
-    std::vector<Key> write_keys, read_keys;
-    core->DrawKeys(&write_keys, &read_keys);
-
-    auto fly = std::make_shared<InFlight>();
-    fly->write_keys = write_keys;
-    fly->begin = sim->Now();
-    fly->done = std::move(done);
-    fly->reads_remaining =
-        static_cast<int>(write_keys.size() + read_keys.size());
-
-    TxnId txn = client->Begin();
-    auto commit_if_ready = [client, core, fly, txn, sim] {
-      if (fly->reads_remaining > 0) return;
-      for (Key key : fly->write_keys) {
-        Status st;
-        if (core->config.commutative) {
-          st = client->Add(txn, key, 1);
-        } else {
-          st = client->Write(txn, key, fly->values[key] + 1);
-        }
-        PLANET_CHECK_MSG(st.ok(), st.ToString());
-      }
-      client->Commit(txn, [fly, sim](Status status) {
-        TxnResult result;
-        result.status = std::move(status);
-        result.latency = sim->Now() - fly->begin;
-        result.user_latency = result.latency;
-        fly->done(result);
-      });
-    };
-
-    std::vector<Key> all_keys = write_keys;
-    all_keys.insert(all_keys.end(), read_keys.begin(), read_keys.end());
-    for (Key key : all_keys) {
-      client->Read(
-          txn, key,
-          [client, sim, fly, txn, key,
-           commit_if_ready](Status status, RecordView v) {
-            if (fly->failed) return;
-            if (!status.ok()) {
-              fly->failed = true;
-              client->AbortEarly(txn);
-              TxnResult result;
-              result.status = std::move(status);
-              result.latency = sim->Now() - fly->begin;
-              result.user_latency = result.latency;
-              fly->done(result);
-              return;
-            }
-            fly->values[key] = v.value;
-            --fly->reads_remaining;
-            commit_if_ready();
-          });
-    }
-  };
+  return MakeRmwRunner(client, config, rng);
 }
 
 TxnRunner MakeTpcRunner(TpcClient* client, const WorkloadConfig& config,
                         Rng rng) {
   PLANET_CHECK_MSG(!config.commutative,
                    "the 2PC baseline supports physical writes only");
-  auto core = std::make_shared<RunnerCore>(config, rng);
-  Simulator* sim = client->simulator();
-  return [client, core, sim](std::function<void(TxnResult)> done) {
-    std::vector<Key> write_keys, read_keys;
-    core->DrawKeys(&write_keys, &read_keys);
-
-    auto fly = std::make_shared<InFlight>();
-    fly->write_keys = write_keys;
-    fly->begin = sim->Now();
-    fly->done = std::move(done);
-    fly->reads_remaining =
-        static_cast<int>(write_keys.size() + read_keys.size());
-
-    TxnId txn = client->Begin();
-    auto commit_if_ready = [client, fly, txn, sim] {
-      if (fly->reads_remaining > 0) return;
-      for (Key key : fly->write_keys) {
-        Status st = client->Write(txn, key, fly->values[key] + 1);
-        PLANET_CHECK_MSG(st.ok(), st.ToString());
-      }
-      client->Commit(txn, [fly, sim](Status status) {
-        TxnResult result;
-        result.status = std::move(status);
-        result.latency = sim->Now() - fly->begin;
-        result.user_latency = result.latency;
-        fly->done(result);
-      });
-    };
-
-    std::vector<Key> all_keys = write_keys;
-    all_keys.insert(all_keys.end(), read_keys.begin(), read_keys.end());
-    for (Key key : all_keys) {
-      client->Read(
-          txn, key,
-          [client, sim, fly, txn, key,
-           commit_if_ready](Status status, RecordView v) {
-            if (fly->failed) return;
-            if (!status.ok()) {
-              fly->failed = true;
-              client->AbortEarly(txn);
-              TxnResult result;
-              result.status = std::move(status);
-              result.latency = sim->Now() - fly->begin;
-              result.user_latency = result.latency;
-              fly->done(result);
-              return;
-            }
-            fly->values[key] = v.value;
-            --fly->reads_remaining;
-            commit_if_ready();
-          });
-    }
-  };
+  return MakeRmwRunner(client, config, rng);
 }
 
 }  // namespace planet

@@ -2,8 +2,7 @@
 // `total_` and `pending_` must be flagged; `mu_` (the capability itself),
 // `kLimit` (const) and `label_` (GUARDED_BY) must not.
 //
-// Host-side coordination code: sanctioned lock use, like the real
-// src/sim/sharded.h.
+// Host-side coordination code: sanctioned lock use.
 // planet-lint: allow-file(blocking-primitive)
 #ifndef FIXTURE_SIM_STATE_H_
 #define FIXTURE_SIM_STATE_H_

@@ -2,8 +2,7 @@
 // mu_a_ -> mu_b_, Backward establishes mu_b_ -> mu_a_; planet_analyze must
 // report the cycle with both edge witnesses.
 //
-// Host-side coordination code: sanctioned lock use, like the real
-// src/sim/sharded.h.
+// Host-side coordination code: sanctioned lock use.
 // planet-lint: allow-file(blocking-primitive)
 #ifndef FIXTURE_SIM_LOCKS_H_
 #define FIXTURE_SIM_LOCKS_H_

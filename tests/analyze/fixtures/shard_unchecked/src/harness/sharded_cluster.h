@@ -1,9 +1,9 @@
-// Fixture: stands in for the real sharded runtime header (the audit keys
-// on this path). It references Widget, which crosses the window barrier
+// Fixture: stands in for the real sharded drain header (the audit keys on
+// this path). It references Widget, which is handed to a worker thread
 // with neither lock annotations nor a ThreadChecker — Widget must be
 // flagged; FixtureRuntime itself (defined in a sharded file) must not.
-#ifndef FIXTURE_SIM_SHARDED_H_
-#define FIXTURE_SIM_SHARDED_H_
+#ifndef FIXTURE_HARNESS_SHARDED_CLUSTER_H_
+#define FIXTURE_HARNESS_SHARDED_CLUSTER_H_
 
 #include "harness/widget.h"
 
@@ -19,4 +19,4 @@ class FixtureRuntime {
 
 }  // namespace planet
 
-#endif  // FIXTURE_SIM_SHARDED_H_
+#endif  // FIXTURE_HARNESS_SHARDED_CLUSTER_H_

@@ -1,4 +1,4 @@
-// Fixture: a mutable class handed to the sharded runtime with no
+// Fixture: a mutable class handed to the sharded drain with no
 // synchronization discipline at all — the shard-unchecked audit must flag
 // its declaration.
 #ifndef FIXTURE_HARNESS_WIDGET_H_

@@ -1,23 +1,18 @@
 // Fixture: every analyzer pass violated once, every violation suppressed
-// through the shared planet-lint allow grammar. The analyzer must exit 0.
-// This file doubles as the sharded-runtime reference for the
-// shard-unchecked case (the audit keys on the src/sim/sharded.h path).
+// through the shared planet-lint allow grammar (the wall-clock chain
+// starts in sim/experiment.h). The analyzer must exit 0. This file doubles
+// as the sharded-drain reference for the shard-unchecked case (the audit
+// keys on the src/harness/sharded_cluster.h path).
 //
-// Host-side coordination code: sanctioned lock use, like the real
-// src/sim/sharded.h.
+// Host-side coordination code: sanctioned lock use.
 // planet-lint: allow-file(blocking-primitive)
-#ifndef FIXTURE_SUPPRESSED_SIM_SHARDED_H_
-#define FIXTURE_SUPPRESSED_SIM_SHARDED_H_
+#ifndef FIXTURE_SUPPRESSED_HARNESS_SHARDED_CLUSTER_H_
+#define FIXTURE_SUPPRESSED_HARNESS_SHARDED_CLUSTER_H_
 
 #include "common/mutex.h"
-#include "common/util.h"
 #include "harness/widget.h"
 
 namespace planet {
-
-// Root of a wall-clock chain whose fact line carries an allow (see
-// common/util.h).
-inline void RunSuppressedExperiment() { StepOnce(); }
 
 class OrderedPair {
  public:
@@ -49,4 +44,4 @@ class Driver {
 
 }  // namespace planet
 
-#endif  // FIXTURE_SUPPRESSED_SIM_SHARDED_H_
+#endif  // FIXTURE_SUPPRESSED_HARNESS_SHARDED_CLUSTER_H_

@@ -1,7 +1,8 @@
-// ShardedCluster: key-partitioned parallel deployments. Checks the three
-// properties drivers lean on — run-to-run determinism of the merged
-// metrics, key-space partitioning (shards really are disjoint), and the
-// seed domain (shard seeds differ from each other and from the base).
+// ShardedCluster: key-partitioned parallel deployments. Checks the
+// properties drivers lean on — one shard is exactly the serial run,
+// run-to-run determinism of the merged metrics (across repeated Drains
+// too), key-space partitioning (shards really are disjoint), and the seed
+// domain (shard seeds differ from each other and from the base).
 #include "harness/sharded_cluster.h"
 
 #include <gtest/gtest.h>
@@ -33,13 +34,32 @@ struct MergedSnapshot {
   }
 };
 
-MergedSnapshot RunShardedPlanet(int num_shards) {
+MergedSnapshot Snapshot(const RunMetrics& merged, uint64_t events) {
+  MergedSnapshot snap;
+  snap.committed = merged.committed;
+  snap.aborted = merged.aborted;
+  snap.unavailable = merged.unavailable;
+  snap.finished = merged.finished();
+  snap.events = events;
+  snap.p50 = merged.latency_all.Percentile(50);
+  snap.p99 = merged.latency_all.Percentile(99);
+  return snap;
+}
+
+ClusterOptions BaseOptions(uint64_t seed = 4242) {
   ClusterOptions base;
-  base.seed = 4242;
+  base.seed = seed;
   base.clients_per_dc = 1;
+  return base;
+}
 
-  ShardedCluster sharded(base, num_shards);
-
+/// Starts one PLANET load generator per client of `cluster` (shard `shard`
+/// of `num_shards`), issuing for `run` from the cluster's current time and
+/// recording into `metrics`. `tag` separates the RNG streams of successive
+/// load phases.
+void AddLoad(Cluster* cluster, int shard, int num_shards, Duration run,
+             uint64_t tag, RunMetrics* metrics,
+             std::vector<std::unique_ptr<LoadGenerator>>* generators) {
   PlanetRunnerPolicy policy;
   policy.speculation_deadline = Millis(250);
   policy.speculate_threshold = 0.9;
@@ -47,38 +67,38 @@ MergedSnapshot RunShardedPlanet(int num_shards) {
   LoadGenerator::Options load;
   load.think_time_mean = Millis(50);
 
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
+  WorkloadConfig wl;
+  wl.num_keys = 1000;
+  wl.num_shards = num_shards;
+  wl.shard = shard;
+  for (int i = 0; i < cluster->num_clients(); ++i) {
+    auto gen = std::make_unique<LoadGenerator>(
+        &cluster->sim(), cluster->ForkRng(tag + i),
+        MakePlanetRunner(cluster->planet_client(i), wl,
+                         cluster->ForkRng(tag + 1000 + i), policy),
+        load);
+    gen->SetResultSink(metrics->Sink());
+    gen->Start(cluster->sim().Now() + run);
+    generators->push_back(std::move(gen));
+  }
+}
+
+/// Loads every shard for `run`, then drains.
+void LoadAndDrain(ShardedCluster& sharded, Duration run, uint64_t tag,
+                  std::vector<std::unique_ptr<LoadGenerator>>* generators) {
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    Cluster* cluster = sharded.shard(s);
-    WorkloadConfig wl;
-    wl.num_keys = 1000;
-    wl.num_shards = num_shards;
-    wl.shard = s;
-    for (int i = 0; i < cluster->num_clients(); ++i) {
-      auto gen = std::make_unique<LoadGenerator>(
-          &cluster->sim(), cluster->ForkRng(7000 + i),
-          MakePlanetRunner(cluster->planet_client(i), wl,
-                           cluster->ForkRng(8000 + i), policy),
-          load);
-      gen->SetResultSink(sharded.context(s).metrics.Sink());
-      gen->Start(Seconds(5));
-      generators.push_back(std::move(gen));
-    }
+    AddLoad(sharded.shard(s), s, sharded.num_shards(), run, tag,
+            &sharded.context(s).metrics, generators);
   }
   sharded.Drain();
   EXPECT_TRUE(sharded.AllConverged());
-  EXPECT_EQ(sharded.windows(), 1u) << "independent shards should free-run";
+}
 
-  RunMetrics merged = sharded.MergedMetrics();
-  MergedSnapshot snap;
-  snap.committed = merged.committed;
-  snap.aborted = merged.aborted;
-  snap.unavailable = merged.unavailable;
-  snap.finished = merged.finished();
-  snap.events = sharded.TotalEventsProcessed();
-  snap.p50 = merged.latency_all.Percentile(50);
-  snap.p99 = merged.latency_all.Percentile(99);
-  return snap;
+MergedSnapshot RunShardedPlanet(int num_shards, uint64_t seed = 4242) {
+  ShardedCluster sharded(BaseOptions(seed), num_shards);
+  std::vector<std::unique_ptr<LoadGenerator>> generators;
+  LoadAndDrain(sharded, Seconds(5), 7000, &generators);
+  return Snapshot(sharded.MergedMetrics(), sharded.TotalEventsProcessed());
 }
 
 TEST(ShardedCluster, TwoShardsRunTwiceBitIdentical) {
@@ -88,28 +108,80 @@ TEST(ShardedCluster, TwoShardsRunTwiceBitIdentical) {
   EXPECT_EQ(RunShardedPlanet(2), first);
 }
 
-TEST(ShardedCluster, ShardCountIsPartOfTheSeedDomain) {
-  // shards=1 under the sharded engine is NOT the serial seed-4242 run
-  // (ShardSeed(s, 0) != s), and different shard counts are different
-  // experiments. Just pin that each is self-consistent and they differ.
+// Eight worker threads at once: the determinism check at the widest shard
+// count the byte-identity suite runs, and the TSan tier's busiest schedule.
+TEST(ShardedStress, EightShardsRepeatedRunsIdentical) {
+  MergedSnapshot first = RunShardedPlanet(8);
+  EXPECT_GT(first.committed, 0u);
+  for (int i = 0; i < 2; ++i) EXPECT_EQ(RunShardedPlanet(8), first);
+}
+
+TEST(ShardedStress, DifferentSeedsDiverge) {
+  // Sanity that the snapshot is actually sensitive to the seed.
+  EXPECT_FALSE(RunShardedPlanet(4, 1) == RunShardedPlanet(4, 2));
+}
+
+TEST(ShardedCluster, OneShardIsTheSerialRun) {
+  Cluster cluster(BaseOptions());
+  RunMetrics metrics;
+  std::vector<std::unique_ptr<LoadGenerator>> generators;
+  AddLoad(&cluster, 0, 1, Seconds(5), 7000, &metrics, &generators);
+  cluster.Drain();
+  MergedSnapshot serial = Snapshot(metrics, cluster.sim().events_processed());
+
   MergedSnapshot one = RunShardedPlanet(1);
-  MergedSnapshot two = RunShardedPlanet(2);
   EXPECT_GT(one.committed, 0u);
+  EXPECT_EQ(one, serial);
+}
+
+TEST(ShardedCluster, RepeatedDrainsAreBitIdentical) {
+  // Load, drain, load more, drain again: the second phase starts from the
+  // state the first left behind, on four worker threads each time.
+  auto run = [] {
+    ShardedCluster sharded(BaseOptions(), 4);
+    std::vector<std::unique_ptr<LoadGenerator>> generators;
+    LoadAndDrain(sharded, Seconds(3), 7000, &generators);
+    MergedSnapshot first =
+        Snapshot(sharded.MergedMetrics(), sharded.TotalEventsProcessed());
+    LoadAndDrain(sharded, Seconds(3), 9000, &generators);
+    MergedSnapshot second =
+        Snapshot(sharded.MergedMetrics(), sharded.TotalEventsProcessed());
+    EXPECT_GT(second.committed, first.committed);
+    EXPECT_GT(second.events, first.events);
+    return std::vector<MergedSnapshot>{first, second};
+  };
+  EXPECT_EQ(run(), run());
+}
+
+TEST(ShardedCluster, ShardCountIsPartOfTheSeedDomain) {
+  // With two or more shards, shard s runs ShardSeed(seed, s), so shard
+  // count K is its own experiment; only a single shard keeps the base seed.
+  ClusterOptions base = BaseOptions();
+  for (int num_shards : {2, 3}) {
+    ShardedCluster sharded(base, num_shards);
+    for (int s = 0; s < num_shards; ++s) {
+      EXPECT_EQ(sharded.shard(s)->options().seed,
+                Rng::ShardSeed(base.seed, static_cast<uint64_t>(s)));
+    }
+  }
+  MergedSnapshot two = RunShardedPlanet(2);
+  MergedSnapshot three = RunShardedPlanet(3);
   EXPECT_GT(two.committed, 0u);
-  EXPECT_FALSE(one == two);
+  EXPECT_GT(three.committed, 0u);
+  EXPECT_FALSE(two == three);
 }
 
 TEST(ShardedCluster, ShardSeedsAreDistinct) {
   ClusterOptions base;
   base.seed = 7;
-  ShardedCluster sharded(base, 4);
   std::set<uint64_t> seeds;
   for (int s = 0; s < 4; ++s) {
     seeds.insert(Rng::ShardSeed(base.seed, static_cast<uint64_t>(s)));
   }
   EXPECT_EQ(seeds.size(), 4u);
   EXPECT_EQ(seeds.count(base.seed), 0u)
-      << "shard 0 must not reuse the base seed (serial goldens own it)";
+      << "no shard of a multi-shard run may reuse the base seed (the "
+         "serial run owns it)";
 }
 
 TEST(KeyChooserSharding, EmitsOnlyOwnedKeysAndCoversAllShards) {

@@ -64,11 +64,8 @@ PURITY_PATTERNS = {
         r"std::this_thread",
         # Real threads and locks (std:: or the project's annotated
         # wrappers) don't belong in simulated-world code either: one
-        # event loop, one owner. The sharded runtime (src/sim/sharded.*)
-        # is the sanctioned exception — host-side synchronization
-        # *between* simulators — and carries an allow-file suppression.
-        # `(?!\s*::)` keeps std::thread::id (a value type used by
-        # ThreadChecker, not a thread) out of the ban.
+        # event loop, one owner. `(?!\s*::)` keeps std::thread::id (a
+        # value type used by ThreadChecker, not a thread) out of the ban.
         r"std::(thread|jthread)\b(?!\s*::)",
         r"std::(recursive_|shared_|timed_)?mutex\b",
         r"\b(Mutex|MutexLock|CondVar)\b",

@@ -73,9 +73,8 @@ struct Args {
   int failover_ms = 0;
   bool csv = false;
   bool verbose = false;
-  /// > 1 runs N key-partitioned sim shards on N worker threads (parallel
-  /// DES); 1 is the serial engine, and NOT the same experiment as a
-  /// 1-shard sharded run (shard seeds come from Rng::ShardSeed).
+  /// > 1 runs N key-partitioned sim shards on N worker threads (shard
+  /// seeds come from Rng::ShardSeed); 1 is the serial run.
   int sim_shards = 1;
   SweepOptions sweep;  // --threads (harmless here: one point), --json
 };
@@ -122,7 +121,7 @@ output:     --csv             also print CSV
             --verbose         extra diagnostics
 harness:    --threads N       sweep-runner threads (single run: no effect)
             --sim-shards N    parallel sim shards, key-partitioned (1 =
-                              serial engine; N>1 multiplies the simulated
+                              serial run; N>1 multiplies the simulated
                               population by N and runs on N worker threads)
 )");
 }
@@ -241,7 +240,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return true;
 }
 
-WorkloadConfig MakeWorkload(const Args& args) {
+/// The workload of shard `shard` (of args.sim_shards).
+WorkloadConfig MakeWorkload(const Args& args, int shard) {
   WorkloadConfig wl;
   wl.num_keys = args.keys;
   if (args.dist == "zipf") {
@@ -257,6 +257,8 @@ WorkloadConfig MakeWorkload(const Args& args) {
   wl.reads_per_txn = args.reads;
   wl.writes_per_txn = args.writes;
   wl.commutative = args.commutative;
+  wl.num_shards = args.sim_shards;
+  wl.shard = shard;
   return wl;
 }
 
@@ -351,39 +353,29 @@ void ExportJson(const Args& args, const LabResult& r) {
   ExportMetricsJson(args.sweep, json);
 }
 
-LabResult RunTpc(const Args& args) {
-  TpcClusterOptions options;
-  options.seed = args.seed;
-  options.tpc.num_dcs = args.dcs;
-  options.wan = args.dcs == 5 ? FiveDcWan() : UniformWan(args.dcs, 50.0);
-  options.clients_per_dc = args.clients_per_dc;
-  options.isolation = args.isolation;
-  options.faults = args.faults;
-  TpcCluster cluster(options);
-  if (args.spike) {
-    std::fprintf(stderr, "note: --spike applies to the mdcc/planet stacks\n");
-  }
-  WorkloadConfig wl = MakeWorkload(args);
-  LabResult result;
+LoadGenerator::Options MakeLoad(const Args& args) {
   LoadGenerator::Options load;
   load.rate_per_sec = args.rate;
   load.think_time_mean = Millis(args.think_ms);
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    auto gen = std::make_unique<LoadGenerator>(
-        &cluster.sim(), cluster.ForkRng(100 + i),
-        MakeTpcRunner(cluster.client(i), wl, cluster.ForkRng(200 + i)), load);
-    gen->SetResultSink(result.metrics.Sink());
-    gen->Start(Seconds(args.duration_s));
-    generators.push_back(std::move(gen));
-  }
-  cluster.Drain();
-  result.converged = cluster.ReplicasConverged();
-  return result;
+  return load;
 }
 
-/// Sharded 2PC run: N key-partitioned TpcClusters drained in parallel.
-LabResult RunTpcSharded(const Args& args) {
+/// Starts one closed/open-loop generator that records into `metrics`.
+template <typename ClusterT>
+std::unique_ptr<LoadGenerator> StartGenerator(const Args& args,
+                                              ClusterT* cluster, int client,
+                                              TxnRunner runner,
+                                              RunMetrics* metrics) {
+  auto gen = std::make_unique<LoadGenerator>(
+      &cluster->sim(), cluster->ForkRng(100 + client), std::move(runner),
+      MakeLoad(args));
+  gen->SetResultSink(metrics->Sink());
+  gen->Start(Seconds(args.duration_s));
+  return gen;
+}
+
+/// 2PC run over --sim-shards key-partitioned TpcClusters.
+LabResult RunTpc(const Args& args) {
   TpcClusterOptions base;
   base.seed = args.seed;
   base.tpc.num_dcs = args.dcs;
@@ -395,23 +387,15 @@ LabResult RunTpcSharded(const Args& args) {
     std::fprintf(stderr, "note: --spike applies to the mdcc/planet stacks\n");
   }
   ShardedTpcCluster sharded(base, args.sim_shards);
-  LoadGenerator::Options load;
-  load.rate_per_sec = args.rate;
-  load.think_time_mean = Millis(args.think_ms);
   std::vector<std::unique_ptr<LoadGenerator>> generators;
   for (int s = 0; s < sharded.num_shards(); ++s) {
     TpcCluster* cluster = sharded.shard(s);
-    WorkloadConfig wl = MakeWorkload(args);
-    wl.num_shards = args.sim_shards;
-    wl.shard = s;
+    WorkloadConfig wl = MakeWorkload(args, s);
     for (int i = 0; i < cluster->num_clients(); ++i) {
-      auto gen = std::make_unique<LoadGenerator>(
-          &cluster->sim(), cluster->ForkRng(100 + i),
+      generators.push_back(StartGenerator(
+          args, cluster, i,
           MakeTpcRunner(cluster->client(i), wl, cluster->ForkRng(200 + i)),
-          load);
-      gen->SetResultSink(sharded.context(s).metrics.Sink());
-      gen->Start(Seconds(args.duration_s));
-      generators.push_back(std::move(gen));
+          &sharded.context(s).metrics));
     }
   }
   sharded.Drain();
@@ -421,10 +405,10 @@ LabResult RunTpcSharded(const Args& args) {
   return result;
 }
 
-/// Sharded MDCC/PLANET run. Each shard is a full deployment with its own
-/// WAN; the spike and fault schedules apply to every shard (same simulated
-/// times, per-shard sampled effects).
-LabResult RunMdccOrPlanetSharded(const Args& args) {
+/// MDCC/PLANET run over --sim-shards key-partitioned Clusters. Each shard is
+/// a full deployment with its own WAN; the spike and fault schedules apply
+/// to every shard (same simulated times, per-shard sampled effects).
+LabResult RunMdccOrPlanet(const Args& args) {
   ClusterOptions base;
   base.seed = args.seed;
   base.mdcc.num_dcs = args.dcs;
@@ -442,9 +426,11 @@ LabResult RunMdccOrPlanetSharded(const Args& args) {
     base.planet.dead_after = Millis(args.failover_ms);
   }
   ShardedCluster sharded(base, args.sim_shards);
-  LoadGenerator::Options load;
-  load.rate_per_sec = args.rate;
-  load.think_time_mean = Millis(args.think_ms);
+  // Log stamps read one simulator's clock, which is only safe while that
+  // simulator drains on this thread.
+  if (sharded.num_shards() == 1) {
+    sharded.shard(0)->sim().InstallLogTimeSource();
+  }
   std::vector<std::unique_ptr<LoadGenerator>> generators;
   for (int s = 0; s < sharded.num_shards(); ++s) {
     Cluster* cluster = sharded.shard(s);
@@ -459,9 +445,7 @@ LabResult RunMdccOrPlanetSharded(const Args& args) {
         cluster->net().ClearDegradation(args.spike_dc);
       });
     }
-    WorkloadConfig wl = MakeWorkload(args);
-    wl.num_shards = args.sim_shards;
-    wl.shard = s;
+    WorkloadConfig wl = MakeWorkload(args, s);
     for (int i = 0; i < cluster->num_clients(); ++i) {
       TxnRunner runner;
       if (args.stack == "mdcc") {
@@ -475,112 +459,37 @@ LabResult RunMdccOrPlanetSharded(const Args& args) {
         runner = MakePlanetRunner(cluster->planet_client(i), wl,
                                   cluster->ForkRng(200 + i), policy);
       }
-      auto gen = std::make_unique<LoadGenerator>(
-          &cluster->sim(), cluster->ForkRng(100 + i), std::move(runner), load);
-      gen->SetResultSink(sharded.context(s).metrics.Sink());
-      gen->Start(Seconds(args.duration_s));
-      generators.push_back(std::move(gen));
+      generators.push_back(StartGenerator(args, cluster, i, std::move(runner),
+                                          &sharded.context(s).metrics));
     }
   }
   sharded.Drain();
+  logging::SetTimeSource(nullptr);  // the simulators die with this closure
+
   LabResult result;
   result.metrics = sharded.MergedMetrics();
   result.converged = sharded.AllConverged();
   if (args.stack == "planet") {
     result.has_planet_stats = true;
-    // Merge shard speculation stats in shard order (counters + latency
-    // histograms; the per-shard calibration trackers stay per-shard).
+    // Sum the counters the summary and the JSON use, in shard order.
     for (int s = 0; s < sharded.num_shards(); ++s) {
       const PlanetStats& ps = sharded.shard(s)->context().stats();
       PlanetStats& out = result.planet_stats;
-      out.started += ps.started;
-      out.committed += ps.committed;
-      out.aborted += ps.aborted;
-      out.unavailable += ps.unavailable;
-      out.admission_rejected += ps.admission_rejected;
       out.speculated += ps.speculated;
       out.speculation_correct += ps.speculation_correct;
       out.apologies += ps.apologies;
       out.gave_up += ps.gave_up;
       out.early_aborts += ps.early_aborts;
-      out.commit_latency.Merge(ps.commit_latency);
-      out.final_latency.Merge(ps.final_latency);
-      out.user_latency.Merge(ps.user_latency);
     }
-  }
-  return result;
-}
-
-LabResult RunMdccOrPlanet(const Args& args) {
-  ClusterOptions options;
-  options.seed = args.seed;
-  options.mdcc.num_dcs = args.dcs;
-  options.wan = args.dcs == 5 ? FiveDcWan() : UniformWan(args.dcs, 50.0);
-  options.clients_per_dc = args.clients_per_dc;
-  options.isolation = args.isolation;
-  options.planet.enable_admission = args.admission > 0;
-  options.planet.admission_threshold = args.admission;
-  options.planet.kill_threshold = args.kill_threshold;
-  options.planet.kill_hysteresis = args.kill_hysteresis;
-  options.planet.kill_confirm = args.kill_confirm;
-  options.faults = args.faults;
-  if (args.failover_ms > 0) {
-    options.mdcc.master_failover_timeout = Millis(args.failover_ms);
-    options.planet.dead_after = Millis(args.failover_ms);
-  }
-  Cluster cluster(options);
-  cluster.sim().InstallLogTimeSource();
-
-  if (args.spike) {
-    cluster.sim().ScheduleAt(Seconds(args.spike_start), [&] {
-      DcDegradation deg;
-      deg.extra_median = Millis(args.spike_extra_ms);
-      deg.extra_sigma = 0.2;
-      cluster.net().SetDegradation(args.spike_dc, deg);
-    });
-    cluster.sim().ScheduleAt(Seconds(args.spike_end), [&] {
-      cluster.net().ClearDegradation(args.spike_dc);
-    });
-  }
-
-  WorkloadConfig wl = MakeWorkload(args);
-  LabResult result;
-  LoadGenerator::Options load;
-  load.rate_per_sec = args.rate;
-  load.think_time_mean = Millis(args.think_ms);
-
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    TxnRunner runner;
-    if (args.stack == "mdcc") {
-      runner = MakeMdccRunner(cluster.client(i), wl, cluster.ForkRng(200 + i));
-    } else {
-      PlanetRunnerPolicy policy;
-      policy.speculation_deadline = Millis(args.deadline_ms);
-      policy.speculate_threshold = args.threshold;
-      policy.give_up_below = args.giveup;
-      runner = MakePlanetRunner(cluster.planet_client(i), wl,
-                                cluster.ForkRng(200 + i), policy);
-    }
-    auto gen = std::make_unique<LoadGenerator>(
-        &cluster.sim(), cluster.ForkRng(100 + i), std::move(runner), load);
-    gen->SetResultSink(result.metrics.Sink());
-    gen->Start(Seconds(args.duration_s));
-    generators.push_back(std::move(gen));
-  }
-  cluster.Drain();
-
-  if (args.stack == "planet") {
-    result.planet_stats = cluster.context().stats();
-    result.has_planet_stats = true;
     if (args.verbose) {
-      LatencyModel& lm = cluster.context().latency_model();
+      // Shard 0's learned model (every shard learns the same WAN).
+      LatencyModel& lm = sharded.shard(0)->context().latency_model();
       for (DcId a = 0; a < args.dcs; ++a) {
         for (DcId b = 0; b < args.dcs; ++b) {
           const Histogram& h = lm.HistogramFor(a, b);
           if (h.count() == 0) continue;
-          result.rtt_rows.push_back({options.wan.dc_names[size_t(a)],
-                                     options.wan.dc_names[size_t(b)],
+          result.rtt_rows.push_back({base.wan.dc_names[size_t(a)],
+                                     base.wan.dc_names[size_t(b)],
                                      std::string(Table::FmtUs(h.Percentile(50))),
                                      std::string(Table::FmtUs(h.Percentile(99))),
                                      std::string(Table::FmtInt((long long)h.count()))});
@@ -588,10 +497,6 @@ LabResult RunMdccOrPlanet(const Args& args) {
       }
     }
   }
-  result.converged = cluster.ReplicasConverged();
-  // The cluster (and its simulator) dies with this closure; don't leave the
-  // log time source pointing at it.
-  logging::SetTimeSource(nullptr);
   return result;
 }
 
@@ -610,10 +515,6 @@ int main(int argc, char** argv) {
   // same harness (and --json schema) as the bench sweeps.
   std::vector<std::function<LabResult()>> points;
   points.push_back([&args] {
-    if (args.sim_shards > 1) {
-      return args.stack == "2pc" ? RunTpcSharded(args)
-                                 : RunMdccOrPlanetSharded(args);
-    }
     return args.stack == "2pc" ? RunTpc(args) : RunMdccOrPlanet(args);
   });
   SweepRunner runner(args.sweep);
