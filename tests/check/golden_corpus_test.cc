@@ -50,6 +50,11 @@ struct CorpusCase {
   size_t predictions;       ///< PredictReorderings candidate count
 };
 
+// Names each case by its corpus file. Without it gtest prints the raw bytes
+// of the struct (a string pointer and padding), and the ctest names that
+// gtest_discover_tests derives from that output change with every build.
+void PrintTo(const CorpusCase& c, std::ostream* os) { *os << c.file; }
+
 class GoldenCorpus : public ::testing::TestWithParam<CorpusCase> {};
 
 TEST_P(GoldenCorpus, ClassifiesAsPinned) {
