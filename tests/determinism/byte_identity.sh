@@ -4,7 +4,7 @@
 # anything else that varies between processes — and independent of hot-path
 # refactors, which must replay history bit-identically.
 #
-# Two modes:
+# Three modes:
 #
 #   byte_identity.sh PLANETLAB_BINARY [planetlab args...]
 #       Runs the command twice with --json and fails unless the two
@@ -16,11 +16,22 @@
 #       exact history the pre-refactor simulator produced). Regenerate
 #       goldens only for a deliberate, reviewed behaviour change:
 #         build/tools/planetlab <args> --json tests/determinism/golden/NAME.json
+#
+#   byte_identity.sh --stdout-golden GOLDEN_TXT BINARY [args...]
+#       Same checks on the command's stdout instead of a --json document,
+#       for tools without --json (planet_fuzz -v prints one txns=/committed=
+#       line per seed). Regenerate with:
+#         BINARY <args> > tests/determinism/golden/NAME.txt
 set -euo pipefail
 
 golden=""
+stdout_mode=0
 if [[ "$1" == "--golden" ]]; then
   golden=$2
+  shift 2
+elif [[ "$1" == "--stdout-golden" ]]; then
+  golden=$2
+  stdout_mode=1
   shift 2
 fi
 
@@ -30,12 +41,17 @@ shift
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-"$bin" "$@" --json "$out/run1.json" >/dev/null
-"$bin" "$@" --json "$out/run2.json" >/dev/null
+for run in run1 run2; do
+  if [[ $stdout_mode -eq 1 ]]; then
+    "$bin" "$@" >"$out/$run"
+  else
+    "$bin" "$@" --json "$out/$run" >/dev/null
+  fi
+done
 
-if ! cmp -s "$out/run1.json" "$out/run2.json"; then
+if ! cmp -s "$out/run1" "$out/run2"; then
   echo "byte_identity: repeated runs diverged:" >&2
-  diff -u "$out/run1.json" "$out/run2.json" >&2 || true
+  diff -u "$out/run1" "$out/run2" >&2 || true
   exit 1
 fi
 
@@ -44,12 +60,12 @@ if [[ -n "$golden" ]]; then
     echo "byte_identity: golden file not found: $golden" >&2
     exit 1
   fi
-  if ! cmp -s "$golden" "$out/run1.json"; then
+  if ! cmp -s "$golden" "$out/run1"; then
     echo "byte_identity: run diverged from golden $golden:" >&2
-    diff -u "$golden" "$out/run1.json" >&2 || true
+    diff -u "$golden" "$out/run1" >&2 || true
     exit 1
   fi
-  echo "byte_identity: OK ($(wc -c < "$out/run1.json") bytes identical, golden matched)"
+  echo "byte_identity: OK ($(wc -c < "$out/run1") bytes identical, golden matched)"
 else
-  echo "byte_identity: OK ($(wc -c < "$out/run1.json") bytes identical)"
+  echo "byte_identity: OK ($(wc -c < "$out/run1") bytes identical)"
 fi
