@@ -38,21 +38,20 @@ class PerfStamp {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Drives `wl` on every PLANET client of `cluster` for `run_time` (simulated)
-/// and returns aggregated metrics. `load` selects closed- vs open-loop.
-inline RunMetrics RunPlanet(Cluster& cluster, const WorkloadConfig& wl,
-                            Duration run_time,
-                            PlanetRunnerPolicy policy = {},
-                            LoadGenerator::Options load = {}) {
+/// Drives one runner per client of `cluster` for `run_time` (simulated)
+/// and returns aggregated metrics. `make_runner(i, rng)` builds client i's
+/// runner; `load` selects closed- vs open-loop.
+template <typename ClusterT, typename MakeRunner>
+RunMetrics Drive(ClusterT& cluster, Duration run_time,
+                 const LoadGenerator::Options& load,
+                 const MakeRunner& make_runner) {
   RunMetrics metrics;
   PerfStamp perf(cluster.sim());
   std::vector<std::unique_ptr<LoadGenerator>> generators;
   for (int i = 0; i < cluster.num_clients(); ++i) {
     auto gen = std::make_unique<LoadGenerator>(
         &cluster.sim(), cluster.ForkRng(7000 + i),
-        MakePlanetRunner(cluster.planet_client(i), wl,
-                         cluster.ForkRng(8000 + i), policy),
-        load);
+        make_runner(i, cluster.ForkRng(8000 + i)), load);
     gen->SetResultSink(metrics.Sink());
     gen->Start(cluster.sim().Now() + run_time);
     generators.push_back(std::move(gen));
@@ -60,48 +59,34 @@ inline RunMetrics RunPlanet(Cluster& cluster, const WorkloadConfig& wl,
   cluster.Drain();
   perf.Stamp(metrics);
   return metrics;
+}
+
+/// Drives `wl` on every PLANET client of `cluster`.
+inline RunMetrics RunPlanet(Cluster& cluster, const WorkloadConfig& wl,
+                            Duration run_time,
+                            PlanetRunnerPolicy policy = {},
+                            LoadGenerator::Options load = {}) {
+  return Drive(cluster, run_time, load, [&](int i, Rng rng) {
+    return MakePlanetRunner(cluster.planet_client(i), wl, rng, policy);
+  });
 }
 
 /// Same, over the raw MDCC coordinator.
 inline RunMetrics RunMdcc(Cluster& cluster, const WorkloadConfig& wl,
                           Duration run_time,
                           LoadGenerator::Options load = {}) {
-  RunMetrics metrics;
-  PerfStamp perf(cluster.sim());
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    auto gen = std::make_unique<LoadGenerator>(
-        &cluster.sim(), cluster.ForkRng(7000 + i),
-        MakeMdccRunner(cluster.client(i), wl, cluster.ForkRng(8000 + i)),
-        load);
-    gen->SetResultSink(metrics.Sink());
-    gen->Start(cluster.sim().Now() + run_time);
-    generators.push_back(std::move(gen));
-  }
-  cluster.Drain();
-  perf.Stamp(metrics);
-  return metrics;
+  return Drive(cluster, run_time, load, [&](int i, Rng rng) {
+    return MakeMdccRunner(cluster.client(i), wl, rng);
+  });
 }
 
 /// Same, over the 2PC baseline.
 inline RunMetrics RunTpc(TpcCluster& cluster, const WorkloadConfig& wl,
                          Duration run_time,
                          LoadGenerator::Options load = {}) {
-  RunMetrics metrics;
-  PerfStamp perf(cluster.sim());
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    auto gen = std::make_unique<LoadGenerator>(
-        &cluster.sim(), cluster.ForkRng(7000 + i),
-        MakeTpcRunner(cluster.client(i), wl, cluster.ForkRng(8000 + i)),
-        load);
-    gen->SetResultSink(metrics.Sink());
-    gen->Start(cluster.sim().Now() + run_time);
-    generators.push_back(std::move(gen));
-  }
-  cluster.Drain();
-  perf.Stamp(metrics);
-  return metrics;
+  return Drive(cluster, run_time, load, [&](int i, Rng rng) {
+    return MakeTpcRunner(cluster.client(i), wl, rng);
+  });
 }
 
 }  // namespace bench

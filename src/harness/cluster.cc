@@ -4,52 +4,44 @@
 
 namespace planet {
 
-Cluster::Cluster(const ClusterOptions& options) : options_(options) {
-  PLANET_CHECK_MSG(options_.wan.num_dcs() == options_.mdcc.num_dcs,
+template <typename NodeT, typename ClientT, typename OptionsT>
+template <typename ConfigT>
+Deployment<NodeT, ClientT, OptionsT>::Deployment(const OptionsT& options,
+                                                 const ConfigT& config)
+    : options_(options) {
+  PLANET_CHECK_MSG(options_.wan.num_dcs() == config.num_dcs,
                    "WAN preset has " << options_.wan.num_dcs()
                                      << " DCs, config wants "
-                                     << options_.mdcc.num_dcs);
+                                     << config.num_dcs);
   Rng root(options_.seed);
   net_ = std::make_unique<Network>(&sim_, root.Fork(1));
   ApplyWan(net_.get(), options_.wan);
 
-  int n = options_.mdcc.num_dcs;
+  int n = config.num_dcs;
   NodeId next_id = 0;
   for (DcId dc = 0; dc < n; ++dc) {
-    replicas_.push_back(std::make_unique<Replica>(
-        &sim_, net_.get(), next_id++, dc, root.Fork(100 + dc),
-        options_.mdcc));
+    nodes_.push_back(std::make_unique<NodeT>(
+        &sim_, net_.get(), next_id++, dc, root.Fork(100 + dc), config));
   }
-  std::vector<Replica*> peer_ptrs;
-  for (auto& r : replicas_) peer_ptrs.push_back(r.get());
-  for (auto& r : replicas_) {
-    r->SetPeers(peer_ptrs);
-    if (options_.recovery_period > 0) {
-      r->EnableRecovery(options_.recovery_period);
-    }
-  }
+  std::vector<NodeT*> peers;
+  for (auto& node : nodes_) peers.push_back(node.get());
+  for (auto& node : nodes_) node->SetPeers(peers);
 
-  ctx_ = std::make_unique<PlanetContext>(options_.mdcc, options_.planet);
   int total_clients = options_.clients_per_dc * n;
   for (int i = 0; i < total_clients; ++i) {
     DcId dc = static_cast<DcId>(i % n);
-    clients_.push_back(std::make_unique<Client>(
-        &sim_, net_.get(), next_id++, dc, root.Fork(1000 + i), options_.mdcc,
-        peer_ptrs));
+    clients_.push_back(std::make_unique<ClientT>(
+        &sim_, net_.get(), next_id++, dc, root.Fork(1000 + i), config,
+        peers));
     clients_.back()->SetIsolation(options_.isolation);
-    planet_clients_.push_back(
-        std::make_unique<PlanetClient>(clients_.back().get(), ctx_.get()));
-  }
-
-  if (!options_.faults.empty()) {
-    Status valid = options_.faults.Validate(n);
-    PLANET_CHECK_MSG(valid.ok(), valid.ToString());
-    fault_injector_ = std::make_unique<FaultInjector>(
-        &sim_, options_.faults, MakeFaultActions());
   }
 }
 
-FaultActions Cluster::MakeFaultActions() {
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::StartFaults() {
+  if (options_.faults.empty()) return;
+  Status valid = options_.faults.Validate(num_dcs());
+  PLANET_CHECK_MSG(valid.ok(), valid.ToString());
   FaultActions actions;
   actions.crash_replica = [this](DcId dc) { CrashReplica(dc); };
   actions.restart_replica = [this](DcId dc) { RestartReplica(dc); };
@@ -59,194 +51,12 @@ FaultActions Cluster::MakeFaultActions() {
     SpikeDc(dc, extra, sigma);
   };
   actions.clear_spike_dc = [this](DcId dc) { ClearSpikeDc(dc); };
-  return actions;
+  fault_injector_ = std::make_unique<FaultInjector>(&sim_, options_.faults,
+                                                    std::move(actions));
 }
 
-void Cluster::SeedKey(Key key, Value value) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  for (auto& r : replicas_) r->store().SeedValue(key, value);
-  if (recorder_ != nullptr) {
-    recorder_->RecordSeed(key, replicas_.front()->store().Read(key).version,
-                          value);
-  }
-}
-
-void Cluster::SetHistoryRecorder(HistoryRecorder* recorder) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  recorder_ = recorder;
-  for (auto& c : clients_) c->SetHistoryRecorder(recorder);
-}
-
-void Cluster::SetScheduleDelays(const ScheduleDelays* delays) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  for (auto& c : clients_) c->SetScheduleDelays(delays);
-}
-
-std::vector<ReplicaState> Cluster::LiveReplicaStates() const {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  std::vector<ReplicaState> states;
-  for (const auto& r : replicas_) {
-    if (r->crashed()) continue;
-    ReplicaState state;
-    state.id = r->dc();
-    state.snapshot = r->store().Snapshot();
-    states.push_back(std::move(state));
-  }
-  return states;
-}
-
-void Cluster::SeedBounds(Key key, ValueBounds bounds) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  for (auto& r : replicas_) r->store().SetBounds(key, bounds);
-}
-
-void Cluster::PartitionDc(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  for (DcId other = 0; other < options_.mdcc.num_dcs; ++other) {
-    if (other != dc) net_->SetPartitioned(dc, other, true);
-  }
-}
-
-void Cluster::HealDc(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  for (DcId other = 0; other < options_.mdcc.num_dcs; ++other) {
-    if (other != dc) net_->SetPartitioned(dc, other, false);
-  }
-  // Anti-entropy is wired in, not left to the caller: sync now, and once
-  // more a recovery period later for commits still in flight at heal time.
-  Replica* replica = replicas_[static_cast<size_t>(dc)].get();
-  replica->RequestSyncAll();
-  Duration followup = options_.recovery_period > 0 ? options_.recovery_period
-                                                   : Seconds(10);
-  sim_.Schedule(followup, [replica] {
-    if (!replica->crashed()) replica->RequestSyncAll();
-  });
-}
-
-void Cluster::CrashReplica(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  replicas_[static_cast<size_t>(dc)]->Crash();
-}
-
-void Cluster::RestartReplica(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  // Restart runs WAL replay + an immediate sync; schedule one more sync a
-  // recovery period later for commits that race with the first one.
-  Replica* replica = replicas_[static_cast<size_t>(dc)].get();
-  replica->Restart();
-  Duration followup = options_.recovery_period > 0 ? options_.recovery_period
-                                                   : Seconds(10);
-  sim_.Schedule(followup, [replica] {
-    if (!replica->crashed()) replica->RequestSyncAll();
-  });
-}
-
-void Cluster::SpikeDc(DcId dc, Duration extra, double sigma) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  DcDegradation spike;
-  spike.extra_median = extra;
-  spike.extra_sigma = sigma;
-  net_->SetDegradation(dc, spike);
-}
-
-void Cluster::ClearSpikeDc(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  net_->ClearDegradation(dc);
-}
-
-size_t Cluster::TotalPending() const {
-  size_t total = 0;
-  for (const auto& r : replicas_) total += r->store().TotalPending();
-  return total;
-}
-
-bool Cluster::ReplicasConverged() const {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  if (TotalPending() != 0) return false;
-  for (const auto& r : replicas_) {
-    if (r->DeferredCount() != 0) return false;
-  }
-  auto reference = replicas_.front()->store().Snapshot();
-  for (size_t i = 1; i < replicas_.size(); ++i) {
-    if (replicas_[i]->store().Snapshot() != reference) return false;
-  }
-  return true;
-}
-
-TpcCluster::TpcCluster(const TpcClusterOptions& options) : options_(options) {
-  PLANET_CHECK(options_.wan.num_dcs() == options_.tpc.num_dcs);
-  Rng root(options_.seed);
-  net_ = std::make_unique<Network>(&sim_, root.Fork(1));
-  ApplyWan(net_.get(), options_.wan);
-
-  int n = options_.tpc.num_dcs;
-  NodeId next_id = 0;
-  for (DcId dc = 0; dc < n; ++dc) {
-    nodes_.push_back(std::make_unique<TpcNode>(
-        &sim_, net_.get(), next_id++, dc, root.Fork(100 + dc), options_.tpc));
-  }
-  std::vector<TpcNode*> peer_ptrs;
-  for (auto& node : nodes_) peer_ptrs.push_back(node.get());
-  for (auto& node : nodes_) node->SetPeers(peer_ptrs);
-
-  int total_clients = options_.clients_per_dc * n;
-  for (int i = 0; i < total_clients; ++i) {
-    DcId dc = static_cast<DcId>(i % n);
-    clients_.push_back(std::make_unique<TpcClient>(
-        &sim_, net_.get(), next_id++, dc, root.Fork(1000 + i), options_.tpc,
-        peer_ptrs));
-    clients_.back()->SetIsolation(options_.isolation);
-  }
-
-  if (!options_.faults.empty()) {
-    Status valid = options_.faults.Validate(n);
-    PLANET_CHECK_MSG(valid.ok(), valid.ToString());
-    fault_injector_ = std::make_unique<FaultInjector>(
-        &sim_, options_.faults, MakeFaultActions());
-  }
-}
-
-void TpcCluster::PartitionDc(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  for (DcId other = 0; other < options_.tpc.num_dcs; ++other) {
-    if (other != dc) net_->SetPartitioned(dc, other, true);
-  }
-}
-
-void TpcCluster::HealDc(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  for (DcId other = 0; other < options_.tpc.num_dcs; ++other) {
-    if (other != dc) net_->SetPartitioned(dc, other, false);
-  }
-}
-
-void TpcCluster::CrashNode(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  nodes_[static_cast<size_t>(dc)]->Crash();
-}
-
-void TpcCluster::RestartNode(DcId dc) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  nodes_[static_cast<size_t>(dc)]->Restart();
-}
-
-FaultActions TpcCluster::MakeFaultActions() {
-  FaultActions actions;
-  actions.crash_replica = [this](DcId dc) { CrashNode(dc); };
-  actions.restart_replica = [this](DcId dc) { RestartNode(dc); };
-  actions.partition_dc = [this](DcId dc) { PartitionDc(dc); };
-  actions.heal_dc = [this](DcId dc) { HealDc(dc); };
-  actions.spike_dc = [this](DcId dc, Duration extra, double sigma) {
-    DcDegradation spike;
-    spike.extra_median = extra;
-    spike.extra_sigma = sigma;
-    net_->SetDegradation(dc, spike);
-  };
-  actions.clear_spike_dc = [this](DcId dc) { net_->ClearDegradation(dc); };
-  return actions;
-}
-
-void TpcCluster::SeedKey(Key key, Value value) {
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::SeedKey(Key key, Value value) {
   PLANET_DCHECK_OWNED(thread_checker_);
   for (auto& node : nodes_) node->store().SeedValue(key, value);
   if (recorder_ != nullptr) {
@@ -255,18 +65,24 @@ void TpcCluster::SeedKey(Key key, Value value) {
   }
 }
 
-void TpcCluster::SetHistoryRecorder(HistoryRecorder* recorder) {
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::SetHistoryRecorder(
+    HistoryRecorder* recorder) {
   PLANET_DCHECK_OWNED(thread_checker_);
   recorder_ = recorder;
   for (auto& c : clients_) c->SetHistoryRecorder(recorder);
 }
 
-void TpcCluster::SetScheduleDelays(const ScheduleDelays* delays) {
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::SetScheduleDelays(
+    const ScheduleDelays* delays) {
   PLANET_DCHECK_OWNED(thread_checker_);
   for (auto& c : clients_) c->SetScheduleDelays(delays);
 }
 
-std::vector<ReplicaState> TpcCluster::LiveReplicaStates() const {
+template <typename NodeT, typename ClientT, typename OptionsT>
+std::vector<ReplicaState>
+Deployment<NodeT, ClientT, OptionsT>::LiveReplicaStates() const {
   PLANET_DCHECK_OWNED(thread_checker_);
   std::vector<ReplicaState> states;
   for (const auto& node : nodes_) {
@@ -279,7 +95,52 @@ std::vector<ReplicaState> TpcCluster::LiveReplicaStates() const {
   return states;
 }
 
-bool TpcCluster::ReplicasConverged() const {
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::PartitionDc(DcId dc) {
+  PLANET_DCHECK_OWNED(thread_checker_);
+  for (DcId other = 0; other < num_dcs(); ++other) {
+    if (other != dc) net_->SetPartitioned(dc, other, true);
+  }
+}
+
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::HealDc(DcId dc) {
+  PLANET_DCHECK_OWNED(thread_checker_);
+  for (DcId other = 0; other < num_dcs(); ++other) {
+    if (other != dc) net_->SetPartitioned(dc, other, false);
+  }
+}
+
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::CrashReplica(DcId dc) {
+  PLANET_DCHECK_OWNED(thread_checker_);
+  nodes_[static_cast<size_t>(dc)]->Crash();
+}
+
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::RestartReplica(DcId dc) {
+  PLANET_DCHECK_OWNED(thread_checker_);
+  nodes_[static_cast<size_t>(dc)]->Restart();
+}
+
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::SpikeDc(DcId dc, Duration extra,
+                                                   double sigma) {
+  PLANET_DCHECK_OWNED(thread_checker_);
+  DcDegradation spike;
+  spike.extra_median = extra;
+  spike.extra_sigma = sigma;
+  net_->SetDegradation(dc, spike);
+}
+
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::ClearSpikeDc(DcId dc) {
+  PLANET_DCHECK_OWNED(thread_checker_);
+  net_->ClearDegradation(dc);
+}
+
+template <typename NodeT, typename ClientT, typename OptionsT>
+bool Deployment<NodeT, ClientT, OptionsT>::ReplicasConverged() const {
   PLANET_DCHECK_OWNED(thread_checker_);
   auto reference = nodes_.front()->store().Snapshot();
   for (size_t i = 1; i < nodes_.size(); ++i) {
@@ -288,18 +149,74 @@ bool TpcCluster::ReplicasConverged() const {
   return true;
 }
 
-void Cluster::DetachFromThread() {
-  thread_checker_.DetachFromThread();
-  sim_.DetachFromThread();
-  net_->DetachFromThread();
-  for (auto& r : replicas_) r->store().DetachFromThread();
-}
-
-void TpcCluster::DetachFromThread() {
+template <typename NodeT, typename ClientT, typename OptionsT>
+void Deployment<NodeT, ClientT, OptionsT>::DetachFromThread() {
   thread_checker_.DetachFromThread();
   sim_.DetachFromThread();
   net_->DetachFromThread();
   for (auto& node : nodes_) node->store().DetachFromThread();
+}
+
+template class Deployment<Replica, Client, ClusterOptions>;
+template class Deployment<TpcNode, TpcClient, TpcClusterOptions>;
+
+Cluster::Cluster(const ClusterOptions& options)
+    : Deployment(options, options.mdcc) {
+  if (options_.recovery_period > 0) {
+    for (auto& r : nodes_) r->EnableRecovery(options_.recovery_period);
+  }
+  ctx_ = std::make_unique<PlanetContext>(options_.mdcc, options_.planet);
+  for (auto& c : clients_) {
+    planet_clients_.push_back(
+        std::make_unique<PlanetClient>(c.get(), ctx_.get()));
+  }
+  StartFaults();
+}
+
+void Cluster::SeedBounds(Key key, ValueBounds bounds) {
+  PLANET_DCHECK_OWNED(thread_checker_);
+  for (auto& r : nodes_) r->store().SetBounds(key, bounds);
+}
+
+void Cluster::HealDc(DcId dc) {
+  Deployment::HealDc(dc);
+  // Anti-entropy is wired in, not left to the caller: sync now, and once
+  // more a recovery period later for commits still in flight at heal time.
+  replica(dc)->RequestSyncAll();
+  ScheduleFollowupSync(dc);
+}
+
+void Cluster::RestartReplica(DcId dc) {
+  Deployment::RestartReplica(dc);
+  ScheduleFollowupSync(dc);
+}
+
+void Cluster::ScheduleFollowupSync(DcId dc) {
+  Replica* r = replica(dc);
+  Duration followup = options_.recovery_period > 0 ? options_.recovery_period
+                                                   : Seconds(10);
+  sim_.Schedule(followup, [r] {
+    if (!r->crashed()) r->RequestSyncAll();
+  });
+}
+
+size_t Cluster::TotalPending() const {
+  size_t total = 0;
+  for (const auto& r : nodes_) total += r->store().TotalPending();
+  return total;
+}
+
+bool Cluster::ReplicasConverged() const {
+  if (TotalPending() != 0) return false;
+  for (const auto& r : nodes_) {
+    if (r->DeferredCount() != 0) return false;
+  }
+  return Deployment::ReplicasConverged();
+}
+
+TpcCluster::TpcCluster(const TpcClusterOptions& options)
+    : Deployment(options, options.tpc) {
+  StartFaults();
 }
 
 }  // namespace planet

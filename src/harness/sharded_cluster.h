@@ -53,19 +53,20 @@ struct WorkerContext {
 };
 
 /// N key-partitioned ClusterT shards plus their worker contexts. ClusterT
-/// is Cluster or TpcCluster (anything with sim(), Drain(),
-/// DetachFromThread(), ReplicasConverged(), and a seed in its options).
-template <typename ClusterT, typename OptionsT>
+/// is Cluster or TpcCluster.
+template <typename ClusterT>
 class ShardedClusterT {
  public:
+  using Options = typename ClusterT::Options;
+
   /// Builds `num_shards` clusters from `base` (seeded as described above).
   /// The caller thread owns every shard until Drain hands them to the
   /// worker threads, and owns them again after Drain returns.
-  ShardedClusterT(const OptionsT& base, int num_shards) {
+  ShardedClusterT(const Options& base, int num_shards) {
     PLANET_CHECK_MSG(num_shards >= 1, "num_shards=" << num_shards);
     contexts_.resize(static_cast<size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
-      OptionsT options = base;
+      Options options = base;
       if (num_shards > 1) {
         options.seed = Rng::ShardSeed(base.seed, static_cast<uint64_t>(s));
       }
@@ -118,8 +119,8 @@ class ShardedClusterT {
   std::vector<WorkerContext> contexts_;
 };
 
-using ShardedCluster = ShardedClusterT<Cluster, ClusterOptions>;
-using ShardedTpcCluster = ShardedClusterT<TpcCluster, TpcClusterOptions>;
+using ShardedCluster = ShardedClusterT<Cluster>;
+using ShardedTpcCluster = ShardedClusterT<TpcCluster>;
 
 }  // namespace planet
 

@@ -97,23 +97,9 @@ class PlanetClient {
   PlanetContext* context() const { return ctx_; }
   DcId dc() const { return db_->dc(); }
 
-  /// Attaches a history recorder to the underlying MDCC coordinator: the
-  /// PLANET layer adds no storage accesses of its own (admission-rejected
-  /// transactions never submit writes), so the coordinator's log is the
-  /// complete history of this client. Null disables recording (default).
-  void SetHistoryRecorder(HistoryRecorder* recorder) {
-    db_->SetHistoryRecorder(recorder);
-  }
-
-  /// Isolation mode of the underlying coordinator (the PLANET layer itself
-  /// performs no reads, so forwarding is the complete semantics).
-  void SetIsolation(IsolationLevel isolation) { db_->SetIsolation(isolation); }
-  IsolationLevel isolation() const { return db_->isolation(); }
-
-  /// Forwards predictive-replay commit delays to the coordinator.
-  void SetScheduleDelays(const ScheduleDelays* delays) {
-    db_->SetScheduleDelays(delays);
-  }
+  // History recording, isolation and predictive-replay delays are set on
+  // the coordinator (db()): the PLANET layer adds no storage accesses of
+  // its own, so the coordinator's log is this client's complete history.
 
   // -- Handle backends (called by PlanetTransaction) ---------------------
   void Read(TxnId txn, Key key, std::function<void(Status, Value)> cb);

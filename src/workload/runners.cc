@@ -1,7 +1,6 @@
 #include "workload/runners.h"
 
 #include <memory>
-#include <type_traits>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -36,77 +35,163 @@ struct InFlight {
   int reads_remaining = 0;
   bool failed = false;  ///< a read failed; the txn was abandoned
   SimTime begin = 0;
+  std::function<void(TxnResult)> done;
+  // What the PLANET user was told first (its Outcome); unset elsewhere.
   Duration user_latency = 0;
   bool speculative = false;
   bool early_abort = false;
-  std::function<void(TxnResult)> done;
-  // Instrumentation (PLANET runner only).
+  // PlanetRunnerPolicy instrumentation.
   std::vector<TxnProgress> trace;
   bool midflight_sampled = false;
   double midflight_likelihood = 0.0;
+
+  /// The result of a transaction that ended at `now` with `status`.
+  TxnResult Result(Status status, SimTime now) const {
+    TxnResult result;
+    result.status = std::move(status);
+    result.latency = now - begin;
+    result.user_latency = user_latency > 0 ? user_latency : result.latency;
+    result.speculative = speculative;
+    result.early_abort = early_abort;
+    return result;
+  }
 };
 
-/// The read-modify-write transaction both coordinator clients run: read
-/// every key, then write each write key back incremented (or Add(1) when
-/// the workload is commutative and the client supports it), then commit.
+Value ValueOf(const RecordView& v) { return v.value; }
+Value ValueOf(Value v) { return v; }
+
+/// Writes one write key back: Add(1) on a commutative workload when the
+/// client has Add (MakeTpcRunner rejects commutative workloads), else the
+/// value read plus one.
 template <typename ClientT>
-TxnRunner MakeRmwRunner(ClientT* client, const WorkloadConfig& config,
+Status WriteBack(ClientT* client, TxnId txn, Key key, Value read,
+                 bool commutative) {
+  if constexpr (requires { client->Add(txn, key, Value{1}); }) {
+    if (commutative) return client->Add(txn, key, 1);
+  }
+  return client->Write(txn, key, read + 1);
+}
+
+/// MDCC and 2PC: the coordinator reports the definitive outcome to the
+/// commit callback.
+template <typename ClientT>
+struct CoordinatorSession {
+  ClientT* client;
+  Simulator* sim;
+
+  TxnId Begin(const std::shared_ptr<InFlight>& /*fly*/) const {
+    return client->Begin();
+  }
+  void Commit(TxnId txn, const std::shared_ptr<InFlight>& fly) const {
+    client->Commit(txn, [fly, sim = sim](Status status) {
+      fly->done(fly->Result(std::move(status), sim->Now()));
+    });
+  }
+};
+
+/// PLANET: Begin arms the policy hooks and the OnFinal callback, which
+/// reports the definitive outcome; the commit callback only notes what the
+/// user was told first.
+struct PlanetSession {
+  PlanetClient* client;
+  Simulator* sim;
+  std::shared_ptr<const PlanetRunnerPolicy> policy;
+
+  TxnId Begin(const std::shared_ptr<InFlight>& fly) const {
+    PlanetTransaction txn = client->Begin();
+    if (policy->midflight_tracker != nullptr || policy->on_trace) {
+      txn.OnProgress([fly, policy = policy](const TxnProgress& p) {
+        if (policy->on_trace) fly->trace.push_back(p);
+        if (policy->midflight_tracker != nullptr && !fly->midflight_sampled &&
+            p.votes_total > 0 &&
+            p.votes_received >=
+                policy->midflight_votes_fraction * p.votes_total &&
+            (p.stage == PlanetStage::kSubmitted ||
+             p.stage == PlanetStage::kClassicFallback)) {
+          fly->midflight_sampled = true;
+          fly->midflight_likelihood = p.likelihood;
+        }
+      });
+    }
+    if (policy->speculation_deadline > 0) {
+      txn.WithTimeout(policy->speculation_deadline,
+                      [policy = policy](PlanetTransaction& t) {
+                        if (policy->speculate_threshold < 0) return;
+                        if (t.CommitLikelihood() >=
+                            policy->speculate_threshold) {
+                          t.Speculate();
+                        } else if (policy->give_up_below) {
+                          t.GiveUp();
+                        }
+                      });
+    }
+    txn.OnFinal([fly, sim = sim, policy = policy](Status status) {
+      TxnResult result = fly->Result(std::move(status), sim->Now());
+      if (policy->midflight_tracker != nullptr && fly->midflight_sampled &&
+          !result.status.IsUnavailable()) {
+        policy->midflight_tracker->Record(fly->midflight_likelihood,
+                                          result.status.ok());
+      }
+      if (policy->on_trace) policy->on_trace(fly->trace, result);
+      fly->done(result);
+    });
+    return txn.id();
+  }
+  void Commit(TxnId txn, const std::shared_ptr<InFlight>& fly) const {
+    client->Commit(txn, [fly](const Outcome& outcome) {
+      fly->user_latency = outcome.user_latency;
+      fly->speculative = outcome.speculative;
+      fly->early_abort = outcome.early_abort;
+    });
+  }
+};
+
+/// The read-modify-write transaction every stack runs: read every key,
+/// write each write key back (see WriteBack), then commit. A failed read
+/// (e.g. a timeout against a crashed local replica) abandons the
+/// transaction and reports it, once, with the read's status.
+template <typename Session>
+TxnRunner MakeRmwRunner(Session session, const WorkloadConfig& config,
                         Rng rng) {
   auto core = std::make_shared<RunnerCore>(config, rng);
-  Simulator* sim = client->simulator();
-  return [client, core, sim](std::function<void(TxnResult)> done) {
+  return [session = std::move(session),
+          core](std::function<void(TxnResult)> done) {
     std::vector<Key> write_keys, read_keys;
     core->DrawKeys(&write_keys, &read_keys);
 
     auto fly = std::make_shared<InFlight>();
     fly->write_keys = write_keys;
-    fly->begin = sim->Now();
+    fly->begin = session.sim->Now();
     fly->done = std::move(done);
     fly->reads_remaining =
         static_cast<int>(write_keys.size() + read_keys.size());
 
-    TxnId txn = client->Begin();
-    auto commit_if_ready = [client, core, fly, txn, sim] {
+    TxnId txn = session.Begin(fly);
+    auto commit_if_ready = [session, core, fly, txn] {
       if (fly->reads_remaining > 0) return;
       for (Key key : fly->write_keys) {
-        Status st;
-        if constexpr (std::is_same_v<ClientT, Client>) {
-          st = core->config.commutative
-                   ? client->Add(txn, key, 1)
-                   : client->Write(txn, key, fly->values[key] + 1);
-        } else {
-          st = client->Write(txn, key, fly->values[key] + 1);
-        }
+        Status st = WriteBack(session.client, txn, key, fly->values[key],
+                              core->config.commutative);
         PLANET_CHECK_MSG(st.ok(), st.ToString());
       }
-      client->Commit(txn, [fly, sim](Status status) {
-        TxnResult result;
-        result.status = std::move(status);
-        result.latency = sim->Now() - fly->begin;
-        result.user_latency = result.latency;
-        fly->done(result);
-      });
+      session.Commit(txn, fly);
     };
 
     std::vector<Key> all_keys = write_keys;
     all_keys.insert(all_keys.end(), read_keys.begin(), read_keys.end());
     for (Key key : all_keys) {
-      client->Read(
+      session.client->Read(
           txn, key,
-          [client, sim, fly, txn, key,
-           commit_if_ready](Status status, RecordView v) {
+          [client = session.client, sim = session.sim, fly, txn, key,
+           commit_if_ready](Status status, const auto& v) {
             if (fly->failed) return;
             if (!status.ok()) {
               fly->failed = true;
               client->AbortEarly(txn);
-              TxnResult result;
-              result.status = std::move(status);
-              result.latency = sim->Now() - fly->begin;
-              result.user_latency = result.latency;
-              fly->done(result);
+              fly->done(fly->Result(std::move(status), sim->Now()));
               return;
             }
-            fly->values[key] = v.value;
+            fly->values[key] = ValueOf(v);
             --fly->reads_remaining;
             commit_if_ready();
           });
@@ -118,116 +203,26 @@ TxnRunner MakeRmwRunner(ClientT* client, const WorkloadConfig& config,
 
 TxnRunner MakePlanetRunner(PlanetClient* client, const WorkloadConfig& config,
                            Rng rng, PlanetRunnerPolicy policy) {
-  auto core = std::make_shared<RunnerCore>(config, rng);
-  Simulator* sim = client->db()->simulator();
-  return [client, core, sim, policy](std::function<void(TxnResult)> done) {
-    std::vector<Key> write_keys, read_keys;
-    core->DrawKeys(&write_keys, &read_keys);
-
-    auto fly = std::make_shared<InFlight>();
-    fly->write_keys = write_keys;
-    fly->begin = sim->Now();
-    fly->done = std::move(done);
-    fly->reads_remaining =
-        static_cast<int>(write_keys.size() + read_keys.size());
-
-    PlanetTransaction txn = client->Begin();
-    if (policy.midflight_tracker != nullptr || policy.on_trace) {
-      txn.OnProgress([fly, policy](const TxnProgress& p) {
-        if (policy.on_trace) fly->trace.push_back(p);
-        if (policy.midflight_tracker != nullptr && !fly->midflight_sampled &&
-            p.votes_total > 0 &&
-            p.votes_received >=
-                policy.midflight_votes_fraction * p.votes_total &&
-            (p.stage == PlanetStage::kSubmitted ||
-             p.stage == PlanetStage::kClassicFallback)) {
-          fly->midflight_sampled = true;
-          fly->midflight_likelihood = p.likelihood;
-        }
-      });
-    }
-    if (policy.speculation_deadline > 0) {
-      txn.WithTimeout(policy.speculation_deadline,
-                      [policy](PlanetTransaction& t) {
-                        if (policy.speculate_threshold < 0) return;
-                        if (t.CommitLikelihood() >= policy.speculate_threshold) {
-                          t.Speculate();
-                        } else if (policy.give_up_below) {
-                          t.GiveUp();
-                        }
-                      });
-    }
-    txn.OnFinal([fly, sim, policy](Status status) {
-      TxnResult result;
-      result.status = std::move(status);
-      result.latency = sim->Now() - fly->begin;
-      result.user_latency =
-          fly->user_latency > 0 ? fly->user_latency : result.latency;
-      result.speculative = fly->speculative;
-      result.early_abort = fly->early_abort;
-      if (policy.midflight_tracker != nullptr && fly->midflight_sampled &&
-          !result.status.IsUnavailable()) {
-        policy.midflight_tracker->Record(fly->midflight_likelihood,
-                                         result.status.ok());
-      }
-      if (policy.on_trace) policy.on_trace(fly->trace, result);
-      fly->done(result);
-    });
-
-    auto commit_if_ready = [client, core, fly](PlanetTransaction t) {
-      if (fly->reads_remaining > 0) return;
-      for (Key key : fly->write_keys) {
-        Status st;
-        if (core->config.commutative) {
-          st = t.Add(key, 1);
-        } else {
-          st = t.Write(key, fly->values[key] + 1);
-        }
-        PLANET_CHECK_MSG(st.ok(), st.ToString());
-      }
-      t.Commit([fly](const Outcome& outcome) {
-        fly->user_latency = outcome.user_latency;
-        fly->speculative = outcome.speculative;
-        fly->early_abort = outcome.early_abort;
-      });
-    };
-
-    std::vector<Key> all_keys = write_keys;
-    all_keys.insert(all_keys.end(), read_keys.begin(), read_keys.end());
-    for (Key key : all_keys) {
-      txn.Read(key, [client, sim, fly, key, txn,
-                     commit_if_ready](Status status, Value v) {
-        if (fly->failed) return;
-        if (!status.ok()) {
-          // Read timed out (e.g. the local replica is down): abandon the
-          // transaction and report it, once, as unavailable.
-          fly->failed = true;
-          client->AbortEarly(txn.id());
-          TxnResult result;
-          result.status = std::move(status);
-          result.latency = sim->Now() - fly->begin;
-          result.user_latency = result.latency;
-          fly->done(result);
-          return;
-        }
-        fly->values[key] = v;
-        --fly->reads_remaining;
-        commit_if_ready(txn);
-      });
-    }
-  };
+  return MakeRmwRunner(
+      PlanetSession{client, client->db()->simulator(),
+                    std::make_shared<const PlanetRunnerPolicy>(
+                        std::move(policy))},
+      config, rng);
 }
 
 TxnRunner MakeMdccRunner(Client* client, const WorkloadConfig& config,
                          Rng rng) {
-  return MakeRmwRunner(client, config, rng);
+  return MakeRmwRunner(CoordinatorSession<Client>{client, client->simulator()},
+                       config, rng);
 }
 
 TxnRunner MakeTpcRunner(TpcClient* client, const WorkloadConfig& config,
                         Rng rng) {
   PLANET_CHECK_MSG(!config.commutative,
                    "the 2PC baseline supports physical writes only");
-  return MakeRmwRunner(client, config, rng);
+  return MakeRmwRunner(
+      CoordinatorSession<TpcClient>{client, client->simulator()}, config,
+      rng);
 }
 
 }  // namespace planet

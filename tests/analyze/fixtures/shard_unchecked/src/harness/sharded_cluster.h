@@ -1,7 +1,8 @@
 // Fixture: stands in for the real sharded drain header (the audit keys on
 // this path). It references Widget, which is handed to a worker thread
 // with neither lock annotations nor a ThreadChecker — Widget must be
-// flagged; FixtureRuntime itself (defined in a sharded file) must not.
+// flagged; Gizmo (checker in its base) and FixtureRuntime itself (defined
+// in a sharded file) must not.
 #ifndef FIXTURE_HARNESS_SHARDED_CLUSTER_H_
 #define FIXTURE_HARNESS_SHARDED_CLUSTER_H_
 
@@ -11,7 +12,10 @@ namespace planet {
 
 class FixtureRuntime {
  public:
-  void Drive(Widget& widget) { widget.Poke(); }
+  void Drive(Widget& widget, Gizmo& gizmo) {
+    widget.Poke();
+    gizmo.Poke();
+  }
 
  private:
   int rounds_ = 0;

@@ -53,6 +53,9 @@ namespace {
 
 enum class StackKind { kPlanet, kMdcc, kTpc };
 
+/// Every fuzzed deployment has the default five DCs.
+constexpr int kNumDcs = 5;
+
 const char* StackName(StackKind stack) {
   switch (stack) {
     case StackKind::kPlanet: return "planet";
@@ -69,7 +72,8 @@ struct FuzzFlags {
   int64_t duration_ms = 20000;
   std::string stack = "mixed";  ///< planet | mdcc | tpc | mixed
   int chaos_drop_learn = 0;
-  std::string fault_override;   ///< "" = derived; "none" = no faults
+  bool fault_override = false;  ///< --fault given ('none' = no faults)
+  FaultSchedule faults;         ///< the --fault schedule
   int clients_override = -1;    ///< -1 = derived
   bool no_shrink = false;
   bool expect_violation = false;
@@ -129,7 +133,7 @@ void DumpKey(ClusterT& cluster, const History& history, Key key) {
   std::printf("---- dump key %llu ----\n",
               static_cast<unsigned long long>(key));
   for (DcId dc = 0; dc < cluster.num_dcs(); ++dc) {
-    const auto& store = cluster.replica(dc)->store();
+    const auto& store = cluster.node(dc)->store();
     RecordView rv = store.Read(key);
     uint64_t deltas = 0;
     for (const SyncEntry& e : store.ExportState()) {
@@ -180,17 +184,8 @@ std::string ScheduleSpec(const FaultSchedule& schedule) {
   for (const FaultEvent& e : schedule.Sorted()) {
     if (!first) oss << ",";
     first = false;
-    const char* kind = "?";
-    switch (e.kind) {
-      case FaultKind::kCrashReplica: kind = "crash"; break;
-      case FaultKind::kRestartReplica: kind = "restart"; break;
-      case FaultKind::kPartitionDc: kind = "partition"; break;
-      case FaultKind::kHealDc: kind = "heal"; break;
-      case FaultKind::kSpikeDc: kind = "spike"; break;
-      case FaultKind::kClearSpikeDc: kind = "clearspike"; break;
-    }
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s@%.6f:%d", kind,
+    std::snprintf(buf, sizeof(buf), "%s@%.6f:%d", FaultKindName(e.kind),
                   static_cast<double>(e.at) / 1e6, e.dc);
     oss << buf;
     if (e.kind == FaultKind::kSpikeDc) {
@@ -345,21 +340,15 @@ FuzzCase DeriveCase(uint64_t seed, const FuzzFlags& flags) {
     // behind forever, which is the baseline's documented blocking behaviour,
     // not a bug. Fuzz it fault-free so the convergence oracle applies.
     c.faults = FaultSchedule{};
-  } else if (!flags.fault_override.empty()) {
-    if (flags.fault_override != "none") {
-      std::string error;
-      bool ok = FaultSchedule::Parse(flags.fault_override, &c.faults, &error);
-      if (!ok) {
-        std::fprintf(stderr, "bad --fault: %s\n", error.c_str());
-        std::exit(2);
-      }
-    }
+  } else if (flags.fault_override) {
+    c.faults = flags.faults;
   } else {
     // Commutative runs get at most one incident: with two overlapping
     // outages no replica is guaranteed to have seen every delta, and the
     // count-based anti-entropy can then legitimately fail to pick a winner.
     int max_incidents = c.wl.commutative ? 1 : 2;
-    c.faults = DeriveFaults(Rng(seed).Fork(13), c.duration, 5, max_incidents);
+    c.faults =
+        DeriveFaults(Rng(seed).Fork(13), c.duration, kNumDcs, max_incidents);
   }
   return c;
 }
@@ -407,73 +396,70 @@ void SeedKeys(ClusterT& cluster, const FuzzCase& c) {
   }
 }
 
-RunOutcome RunMdccOrPlanet(const FuzzCase& c) {
-  ClusterOptions options;
-  options.seed = c.seed;
-  options.clients_per_dc = c.clients_per_dc;
-  options.mdcc.txn_timeout = Seconds(2);
-  options.mdcc.read_timeout = Millis(500);
-  options.mdcc.chaos_drop_learn = c.chaos_drop_learn;
-  options.recovery_period = Seconds(1);
-  options.faults = c.faults;
-  options.isolation = c.isolation;
-  options.planet.kill_threshold = c.kill_threshold;
-  options.planet.kill_confirm = c.kill_confirm;
-  Cluster cluster(options);
+// The stack-specific parts of a run, overloaded on the cluster type.
 
-  HistoryRecorder recorder;
-  cluster.SetHistoryRecorder(&recorder);
-  if (!c.delays.empty()) cluster.SetScheduleDelays(&c.delays);
-  SeedKeys(cluster, c);
+void Configure(const FuzzCase& c, ClusterOptions* options) {
+  options->mdcc.txn_timeout = Seconds(2);
+  options->mdcc.read_timeout = Millis(500);
+  options->mdcc.chaos_drop_learn = c.chaos_drop_learn;
+  options->recovery_period = Seconds(1);
+  options->planet.kill_threshold = c.kill_threshold;
+  options->planet.kill_confirm = c.kill_confirm;
+}
 
-  RunOutcome out;
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    TxnRunner runner;
-    if (c.stack == StackKind::kPlanet) {
-      PlanetRunnerPolicy policy;
-      policy.speculation_deadline = c.speculation_deadline;
-      policy.speculate_threshold = 0.7;
-      policy.give_up_below = false;
-      runner = MakePlanetRunner(cluster.planet_client(i), c.wl,
-                                cluster.ForkRng(200 + uint64_t(i)), policy);
-    } else {
-      runner = MakeMdccRunner(cluster.client(i), c.wl,
-                              cluster.ForkRng(200 + uint64_t(i)));
-    }
-    auto gen = std::make_unique<LoadGenerator>(
-        &cluster.sim(), cluster.ForkRng(100 + uint64_t(i)), std::move(runner),
-        LoadGenerator::Options{});
-    gen->SetResultSink(out.metrics.Sink());
-    gen->Start(c.duration);
-    generators.push_back(std::move(gen));
+void Configure(const FuzzCase& /*c*/, TpcClusterOptions* options) {
+  options->tpc.txn_timeout = Seconds(2);
+  options->tpc.read_timeout = Millis(500);
+}
+
+TxnRunner MakeRunner(const FuzzCase& c, Cluster& cluster, int i) {
+  Rng rng = cluster.ForkRng(200 + uint64_t(i));
+  if (c.stack == StackKind::kMdcc) {
+    return MakeMdccRunner(cluster.client(i), c.wl, rng);
   }
-  cluster.Drain();
+  PlanetRunnerPolicy policy;
+  policy.speculation_deadline = c.speculation_deadline;
+  policy.speculate_threshold = 0.7;
+  policy.give_up_below = false;
+  return MakePlanetRunner(cluster.planet_client(i), c.wl, rng, policy);
+}
 
-  // Quiesce: one explicit anti-entropy round across all live replicas (the
-  // fault schedules heal everything before the run ends, so normally all 5).
+TxnRunner MakeRunner(const FuzzCase& c, TpcCluster& cluster, int i) {
+  return MakeTpcRunner(cluster.client(i), c.wl,
+                       cluster.ForkRng(200 + uint64_t(i)));
+}
+
+/// Quiesce: one explicit anti-entropy round across all live replicas (the
+/// fault schedules heal everything before the run ends, so normally all 5).
+void Quiesce(Cluster& cluster) {
   for (DcId dc = 0; dc < cluster.num_dcs(); ++dc) {
     if (!cluster.replica(dc)->crashed()) cluster.replica(dc)->RequestSyncAll();
   }
   cluster.Drain();
-
-  const History& history = recorder.history();
-  out.recorded_txns = history.txns().size();
-  out.serial = CheckSerializability(history);
-  out.conv = CheckConvergence(cluster.LiveReplicaStates(), &history);
-  if (c.dump_key >= 0) DumpKey(cluster, history, Key(c.dump_key));
-  out.history = history;
-  return out;
 }
 
-RunOutcome RunTpc(const FuzzCase& c) {
-  TpcClusterOptions options;
+/// Fault-free 2PC: draining delivers every replication message, so no
+/// extra quiesce round exists (or is needed) — there is no anti-entropy.
+void Quiesce(TpcCluster& /*cluster*/) {}
+
+CheckerOptions SerialOptions(const Cluster& /*cluster*/) { return {}; }
+
+/// A 2PC commit whose ack quorum never arrived may or may not have applied.
+CheckerOptions SerialOptions(const TpcCluster& /*cluster*/) {
+  CheckerOptions options;
+  options.allow_in_doubt_writers = true;
+  return options;
+}
+
+template <typename ClusterT>
+RunOutcome Run(const FuzzCase& c) {
+  typename ClusterT::Options options;
   options.seed = c.seed;
   options.clients_per_dc = c.clients_per_dc;
-  options.tpc.txn_timeout = Seconds(2);
-  options.tpc.read_timeout = Millis(500);
   options.isolation = c.isolation;
-  TpcCluster cluster(options);
+  options.faults = c.faults;
+  Configure(c, &options);
+  ClusterT cluster(options);
 
   HistoryRecorder recorder;
   cluster.SetHistoryRecorder(&recorder);
@@ -485,29 +471,25 @@ RunOutcome RunTpc(const FuzzCase& c) {
   for (int i = 0; i < cluster.num_clients(); ++i) {
     auto gen = std::make_unique<LoadGenerator>(
         &cluster.sim(), cluster.ForkRng(100 + uint64_t(i)),
-        MakeTpcRunner(cluster.client(i), c.wl,
-                      cluster.ForkRng(200 + uint64_t(i))),
-        LoadGenerator::Options{});
+        MakeRunner(c, cluster, i), LoadGenerator::Options{});
     gen->SetResultSink(out.metrics.Sink());
     gen->Start(c.duration);
     generators.push_back(std::move(gen));
   }
-  // Fault-free 2PC: draining delivers every replication message, so no
-  // extra quiesce round exists (or is needed) — there is no anti-entropy.
   cluster.Drain();
+  Quiesce(cluster);
 
   const History& history = recorder.history();
   out.recorded_txns = history.txns().size();
-  CheckerOptions serial_options;
-  serial_options.allow_in_doubt_writers = true;
-  out.serial = CheckSerializability(history, serial_options);
+  out.serial = CheckSerializability(history, SerialOptions(cluster));
   out.conv = CheckConvergence(cluster.LiveReplicaStates(), &history);
+  if (c.dump_key >= 0) DumpKey(cluster, history, Key(c.dump_key));
   out.history = history;
   return out;
 }
 
 RunOutcome RunCase(const FuzzCase& c) {
-  return c.stack == StackKind::kTpc ? RunTpc(c) : RunMdccOrPlanet(c);
+  return c.stack == StackKind::kTpc ? Run<TpcCluster>(c) : Run<Cluster>(c);
 }
 
 std::string ReproLine(const FuzzCase& c) {
@@ -591,7 +573,7 @@ FuzzCase Shrink(FuzzCase c, int* runs_out,
           if (k == i || k == j) continue;
           candidate_faults.Add(events[k]);
         }
-        if (!candidate_faults.Validate(5).ok()) continue;
+        if (!candidate_faults.Validate(kNumDcs).ok()) continue;
         FuzzCase candidate = c;
         candidate.faults = candidate_faults;
         if (still_fails(candidate)) {
@@ -690,7 +672,14 @@ int Main(int argc, char** argv) {
     } else if (arg == "--clients") {
       flags.clients_override = std::atoi(next());
     } else if (arg == "--fault") {
-      flags.fault_override = next();
+      std::string spec = next();
+      flags.fault_override = true;
+      std::string error;
+      if (spec != "none" &&
+          !FaultSchedule::Parse(spec, &flags.faults, &error)) {
+        std::fprintf(stderr, "bad --fault: %s\n", error.c_str());
+        return Usage();
+      }
     } else if (arg == "--chaos-drop-learn") {
       flags.chaos_drop_learn = std::atoi(next());
     } else if (arg == "--isolation") {
@@ -748,6 +737,15 @@ int Main(int argc, char** argv) {
   if (flags.stack != "planet" && flags.stack != "mdcc" &&
       flags.stack != "tpc" && flags.stack != "mixed") {
     std::fprintf(stderr, "bad --stack: %s\n", flags.stack.c_str());
+    return Usage();
+  }
+  if (flags.single_seed < 0 && flags.seeds < 1) {
+    std::fprintf(stderr, "--seeds wants a positive count\n");
+    return Usage();
+  }
+  Status valid = flags.faults.Validate(kNumDcs);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "bad --fault: %s\n", valid.ToString().c_str());
     return Usage();
   }
   if (flags.chaos_drop_learn > 0 && flags.stack == "tpc") {

@@ -64,10 +64,7 @@ struct Args {
   double kill_threshold = 0;
   double kill_hysteresis = 0.05;
   int kill_confirm = 2;
-  // spike: dc:start_s:end_s:extra_ms
-  bool spike = false;
-  int spike_dc = 0, spike_start = 0, spike_end = 0, spike_extra_ms = 0;
-  // faults
+  // faults (--spike adds to the same schedule)
   FaultSchedule faults;
   std::string fault_spec;
   int failover_ms = 0;
@@ -76,7 +73,7 @@ struct Args {
   /// > 1 runs N key-partitioned sim shards on N worker threads (shard
   /// seeds come from Rng::ShardSeed); 1 is the serial run.
   int sim_shards = 1;
-  SweepOptions sweep;  // --threads (harmless here: one point), --json
+  SweepOptions sweep;  // --json
 };
 
 void Usage() {
@@ -109,7 +106,8 @@ planet:     --deadline MS     speculation deadline
                               reset the kill streak (default 0.05)
             --kill-confirm N  consecutive doomed observations before the
                               kill fires (default 2)
-faults:     --spike DC:START:END:MS   latency spike on one DC
+faults:     --spike DC:START:END:MS   latency spike on one DC (shorthand for
+                              spike@START:DC:MS,clearspike@END:DC)
             --fault SPEC      deterministic fault schedule, e.g.
                               "crash@20:1,restart@50:1" or
                               "partition@10:2;heal@30:2;spike@40:0:250"
@@ -119,8 +117,7 @@ faults:     --spike DC:START:END:MS   latency spike on one DC
 output:     --csv             also print CSV
             --json PATH       write metrics as a JSON document
             --verbose         extra diagnostics
-harness:    --threads N       sweep-runner threads (single run: no effect)
-            --sim-shards N    parallel sim shards, key-partitioned (1 =
+harness:    --sim-shards N    parallel sim shards, key-partitioned (1 =
                               serial run; N>1 multiplies the simulated
                               population by N and runs on N worker threads)
 )");
@@ -134,6 +131,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     }
     return argv[++i];
   };
+  FaultSchedule spikes;  // --spike, appended after the --fault events
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--help" || a == "-h") {
@@ -195,12 +193,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
     } else if (a == "--spike") {
-      args->spike = true;
-      if (sscanf(need(i), "%d:%d:%d:%d", &args->spike_dc, &args->spike_start,
-                 &args->spike_end, &args->spike_extra_ms) != 4) {
+      int dc = 0, start = 0, end = 0, extra_ms = 0;
+      if (sscanf(need(i), "%d:%d:%d:%d", &dc, &start, &end, &extra_ms) != 4) {
         std::fprintf(stderr, "--spike wants DC:START:END:MS\n");
         return false;
       }
+      spikes.SpikeDc(Seconds(start), dc, Millis(extra_ms))
+          .ClearSpikeDc(Seconds(end), dc);
     } else if (a == "--fault") {
       args->fault_spec = need(i);
       std::string error;
@@ -218,12 +217,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->csv = true;
     } else if (a == "--json") {
       args->sweep.json_path = need(i);
-    } else if (a == "--threads") {
-      args->sweep.threads = atoi(need(i));
-      if (args->sweep.threads < 1) {
-        std::fprintf(stderr, "--threads wants a positive count\n");
-        return false;
-      }
     } else if (a == "--sim-shards") {
       args->sim_shards = atoi(need(i));
       if (args->sim_shards < 1) {
@@ -236,6 +229,28 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       std::fprintf(stderr, "unknown flag %s (try --help)\n", a.c_str());
       return false;
     }
+  }
+  args->faults.Merge(spikes);
+  // Checks that span flags run once all of them are parsed (--dcs may
+  // follow --fault).
+  if (args->stack != "planet" && args->stack != "mdcc" &&
+      args->stack != "2pc") {
+    std::fprintf(stderr, "unknown stack %s\n", args->stack.c_str());
+    return false;
+  }
+  if (args->dcs < 1) {
+    std::fprintf(stderr, "--dcs wants a positive count\n");
+    return false;
+  }
+  if (args->stack == "2pc" && args->commutative) {
+    std::fprintf(stderr, "--commutative needs --stack planet or mdcc: the "
+                         "2PC baseline writes physically only\n");
+    return false;
+  }
+  Status valid = args->faults.Validate(args->dcs);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "--fault/--spike: %s\n", valid.ToString().c_str());
+    return false;
   }
   return true;
 }
@@ -262,7 +277,7 @@ WorkloadConfig MakeWorkload(const Args& args, int shard) {
   return wl;
 }
 
-/// Everything a run produces; the cluster itself dies with the run closure.
+/// Everything a run produces; the clusters die with Run.
 struct LabResult {
   RunMetrics metrics;
   PlanetStats planet_stats;
@@ -353,150 +368,119 @@ void ExportJson(const Args& args, const LabResult& r) {
   ExportMetricsJson(args.sweep, json);
 }
 
-LoadGenerator::Options MakeLoad(const Args& args) {
-  LoadGenerator::Options load;
-  load.rate_per_sec = args.rate;
-  load.think_time_mean = Millis(args.think_ms);
-  return load;
+// The stack-specific parts of a run, overloaded on the cluster type.
+
+void Configure(const Args& args, TpcClusterOptions* base) {
+  base->tpc.num_dcs = args.dcs;
 }
 
-/// Starts one closed/open-loop generator that records into `metrics`.
-template <typename ClusterT>
-std::unique_ptr<LoadGenerator> StartGenerator(const Args& args,
-                                              ClusterT* cluster, int client,
-                                              TxnRunner runner,
-                                              RunMetrics* metrics) {
-  auto gen = std::make_unique<LoadGenerator>(
-      &cluster->sim(), cluster->ForkRng(100 + client), std::move(runner),
-      MakeLoad(args));
-  gen->SetResultSink(metrics->Sink());
-  gen->Start(Seconds(args.duration_s));
-  return gen;
-}
-
-/// 2PC run over --sim-shards key-partitioned TpcClusters.
-LabResult RunTpc(const Args& args) {
-  TpcClusterOptions base;
-  base.seed = args.seed;
-  base.tpc.num_dcs = args.dcs;
-  base.wan = args.dcs == 5 ? FiveDcWan() : UniformWan(args.dcs, 50.0);
-  base.clients_per_dc = args.clients_per_dc;
-  base.isolation = args.isolation;
-  base.faults = args.faults;
-  if (args.spike) {
-    std::fprintf(stderr, "note: --spike applies to the mdcc/planet stacks\n");
+void Configure(const Args& args, ClusterOptions* base) {
+  base->mdcc.num_dcs = args.dcs;
+  base->planet.enable_admission = args.admission > 0;
+  base->planet.admission_threshold = args.admission;
+  base->planet.kill_threshold = args.kill_threshold;
+  base->planet.kill_hysteresis = args.kill_hysteresis;
+  base->planet.kill_confirm = args.kill_confirm;
+  if (args.failover_ms > 0) {
+    base->mdcc.master_failover_timeout = Millis(args.failover_ms);
+    base->planet.dead_after = Millis(args.failover_ms);
   }
-  ShardedTpcCluster sharded(base, args.sim_shards);
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
+}
+
+TxnRunner MakeRunner(const Args& /*args*/, TpcCluster* cluster, int i,
+                     const WorkloadConfig& wl) {
+  return MakeTpcRunner(cluster->client(i), wl, cluster->ForkRng(200 + i));
+}
+
+TxnRunner MakeRunner(const Args& args, Cluster* cluster, int i,
+                     const WorkloadConfig& wl) {
+  if (args.stack == "mdcc") {
+    return MakeMdccRunner(cluster->client(i), wl, cluster->ForkRng(200 + i));
+  }
+  PlanetRunnerPolicy policy;
+  policy.speculation_deadline = Millis(args.deadline_ms);
+  policy.speculate_threshold = args.threshold;
+  policy.give_up_below = args.giveup;
+  return MakePlanetRunner(cluster->planet_client(i), wl,
+                          cluster->ForkRng(200 + i), policy);
+}
+
+/// 2PC has no PLANET layer to report on.
+void CollectPlanetStats(const Args& /*args*/, ShardedTpcCluster& /*sharded*/,
+                        LabResult* /*result*/) {}
+
+void CollectPlanetStats(const Args& args, ShardedCluster& sharded,
+                        LabResult* result) {
+  if (args.stack != "planet") return;
+  result->has_planet_stats = true;
+  // Sum the counters the summary and the JSON use, in shard order.
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    TpcCluster* cluster = sharded.shard(s);
-    WorkloadConfig wl = MakeWorkload(args, s);
-    for (int i = 0; i < cluster->num_clients(); ++i) {
-      generators.push_back(StartGenerator(
-          args, cluster, i,
-          MakeTpcRunner(cluster->client(i), wl, cluster->ForkRng(200 + i)),
-          &sharded.context(s).metrics));
+    const PlanetStats& ps = sharded.shard(s)->context().stats();
+    PlanetStats& out = result->planet_stats;
+    out.speculated += ps.speculated;
+    out.speculation_correct += ps.speculation_correct;
+    out.apologies += ps.apologies;
+    out.gave_up += ps.gave_up;
+    out.early_aborts += ps.early_aborts;
+  }
+  if (!args.verbose) return;
+  // Shard 0's learned model (every shard learns the same WAN).
+  Cluster* cluster = sharded.shard(0);
+  LatencyModel& lm = cluster->context().latency_model();
+  const WanPreset& wan = cluster->options().wan;
+  for (DcId a = 0; a < args.dcs; ++a) {
+    for (DcId b = 0; b < args.dcs; ++b) {
+      const Histogram& h = lm.HistogramFor(a, b);
+      if (h.count() == 0) continue;
+      result->rtt_rows.push_back(
+          {wan.dc_names[size_t(a)], wan.dc_names[size_t(b)],
+           Table::FmtUs(h.Percentile(50)), Table::FmtUs(h.Percentile(99)),
+           Table::FmtInt((long long)h.count())});
     }
   }
-  sharded.Drain();
-  LabResult result;
-  result.metrics = sharded.MergedMetrics();
-  result.converged = sharded.AllConverged();
-  return result;
 }
 
-/// MDCC/PLANET run over --sim-shards key-partitioned Clusters. Each shard is
-/// a full deployment with its own WAN; the spike and fault schedules apply
-/// to every shard (same simulated times, per-shard sampled effects).
-LabResult RunMdccOrPlanet(const Args& args) {
-  ClusterOptions base;
+/// One run over --sim-shards key-partitioned clusters. Each shard is a full
+/// deployment with its own WAN; the fault schedule applies to every shard
+/// (same simulated times, per-shard sampled effects).
+template <typename ClusterT>
+LabResult Run(const Args& args) {
+  typename ClusterT::Options base;
   base.seed = args.seed;
-  base.mdcc.num_dcs = args.dcs;
   base.wan = args.dcs == 5 ? FiveDcWan() : UniformWan(args.dcs, 50.0);
   base.clients_per_dc = args.clients_per_dc;
   base.isolation = args.isolation;
-  base.planet.enable_admission = args.admission > 0;
-  base.planet.admission_threshold = args.admission;
-  base.planet.kill_threshold = args.kill_threshold;
-  base.planet.kill_hysteresis = args.kill_hysteresis;
-  base.planet.kill_confirm = args.kill_confirm;
   base.faults = args.faults;
-  if (args.failover_ms > 0) {
-    base.mdcc.master_failover_timeout = Millis(args.failover_ms);
-    base.planet.dead_after = Millis(args.failover_ms);
-  }
-  ShardedCluster sharded(base, args.sim_shards);
+  Configure(args, &base);
+  ShardedClusterT<ClusterT> sharded(base, args.sim_shards);
   // Log stamps read one simulator's clock, which is only safe while that
   // simulator drains on this thread.
   if (sharded.num_shards() == 1) {
     sharded.shard(0)->sim().InstallLogTimeSource();
   }
+  LoadGenerator::Options load;
+  load.rate_per_sec = args.rate;
+  load.think_time_mean = Millis(args.think_ms);
   std::vector<std::unique_ptr<LoadGenerator>> generators;
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    Cluster* cluster = sharded.shard(s);
-    if (args.spike) {
-      cluster->sim().ScheduleAt(Seconds(args.spike_start), [cluster, &args] {
-        DcDegradation deg;
-        deg.extra_median = Millis(args.spike_extra_ms);
-        deg.extra_sigma = 0.2;
-        cluster->net().SetDegradation(args.spike_dc, deg);
-      });
-      cluster->sim().ScheduleAt(Seconds(args.spike_end), [cluster, &args] {
-        cluster->net().ClearDegradation(args.spike_dc);
-      });
-    }
+    ClusterT* cluster = sharded.shard(s);
     WorkloadConfig wl = MakeWorkload(args, s);
     for (int i = 0; i < cluster->num_clients(); ++i) {
-      TxnRunner runner;
-      if (args.stack == "mdcc") {
-        runner =
-            MakeMdccRunner(cluster->client(i), wl, cluster->ForkRng(200 + i));
-      } else {
-        PlanetRunnerPolicy policy;
-        policy.speculation_deadline = Millis(args.deadline_ms);
-        policy.speculate_threshold = args.threshold;
-        policy.give_up_below = args.giveup;
-        runner = MakePlanetRunner(cluster->planet_client(i), wl,
-                                  cluster->ForkRng(200 + i), policy);
-      }
-      generators.push_back(StartGenerator(args, cluster, i, std::move(runner),
-                                          &sharded.context(s).metrics));
+      auto gen = std::make_unique<LoadGenerator>(
+          &cluster->sim(), cluster->ForkRng(100 + i),
+          MakeRunner(args, cluster, i, wl), load);
+      gen->SetResultSink(sharded.context(s).metrics.Sink());
+      gen->Start(Seconds(args.duration_s));
+      generators.push_back(std::move(gen));
     }
   }
   sharded.Drain();
-  logging::SetTimeSource(nullptr);  // the simulators die with this closure
+  logging::SetTimeSource(nullptr);  // the simulators die with this function
 
   LabResult result;
   result.metrics = sharded.MergedMetrics();
   result.converged = sharded.AllConverged();
-  if (args.stack == "planet") {
-    result.has_planet_stats = true;
-    // Sum the counters the summary and the JSON use, in shard order.
-    for (int s = 0; s < sharded.num_shards(); ++s) {
-      const PlanetStats& ps = sharded.shard(s)->context().stats();
-      PlanetStats& out = result.planet_stats;
-      out.speculated += ps.speculated;
-      out.speculation_correct += ps.speculation_correct;
-      out.apologies += ps.apologies;
-      out.gave_up += ps.gave_up;
-      out.early_aborts += ps.early_aborts;
-    }
-    if (args.verbose) {
-      // Shard 0's learned model (every shard learns the same WAN).
-      LatencyModel& lm = sharded.shard(0)->context().latency_model();
-      for (DcId a = 0; a < args.dcs; ++a) {
-        for (DcId b = 0; b < args.dcs; ++b) {
-          const Histogram& h = lm.HistogramFor(a, b);
-          if (h.count() == 0) continue;
-          result.rtt_rows.push_back({base.wan.dc_names[size_t(a)],
-                                     base.wan.dc_names[size_t(b)],
-                                     std::string(Table::FmtUs(h.Percentile(50))),
-                                     std::string(Table::FmtUs(h.Percentile(99))),
-                                     std::string(Table::FmtInt((long long)h.count()))});
-        }
-      }
-    }
-  }
+  CollectPlanetStats(args, sharded, &result);
   return result;
 }
 
@@ -506,19 +490,8 @@ int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) return 2;
   if (args.verbose) logging::SetLevel(LogLevel::kInfo);
-  if (args.stack != "planet" && args.stack != "mdcc" && args.stack != "2pc") {
-    std::fprintf(stderr, "unknown stack %s\n", args.stack.c_str());
-    return 2;
-  }
-
-  // One configuration = one sweep point; SweepRunner keeps planetlab on the
-  // same harness (and --json schema) as the bench sweeps.
-  std::vector<std::function<LabResult()>> points;
-  points.push_back([&args] {
-    return args.stack == "2pc" ? RunTpc(args) : RunMdccOrPlanet(args);
-  });
-  SweepRunner runner(args.sweep);
-  LabResult result = std::move(runner.Run(std::move(points))[0]);
+  LabResult result =
+      args.stack == "2pc" ? Run<TpcCluster>(args) : Run<Cluster>(args);
 
   PrintSummary(args, result);
   if (!result.rtt_rows.empty()) {
