@@ -275,6 +275,8 @@ ComponentResult BenchHistogramPercentile(uint64_t ops, int reps) {
 }
 
 ComponentResult BenchLikelihoodEstimate(uint64_t ops, int reps) {
+  // One unchanging model: after the first call every inversion is a hit in
+  // the estimator's memo, so this times the Estimate path around it.
   return Measure("likelihood_estimate", ops, reps, [ops] {
     MdccConfig mdcc;
     PlanetConfig planet_cfg;
@@ -298,6 +300,34 @@ ComponentResult BenchLikelihoodEstimate(uint64_t ops, int reps) {
     }
     double acc = 0;
     for (uint64_t i = 0; i < ops; ++i) acc += estimator.Estimate(view);
+    DoNotOptimize(acc);
+  });
+}
+
+ComponentResult BenchLikelihoodInvert(uint64_t ops, int reps) {
+  // The memo's miss side: each op records one option outcome on the view's
+  // key, which moves its target, so every Estimate inverts anew. A live
+  // run misses about once per option outcome.
+  return Measure("likelihood_invert", ops, reps, [ops] {
+    MdccConfig mdcc;
+    PlanetConfig planet_cfg;
+    LatencyModel latency(5, Millis(100));
+    ConflictModel conflict(0.05);
+    Rng rng(8);
+    CommitLikelihoodEstimator estimator(mdcc, planet_cfg, &latency, &conflict);
+    TxnView view;
+    view.phase = TxnPhase::kProposing;
+    OptionProgress op;
+    op.option.key = 7;
+    op.votes.assign(5, -1);
+    op.votes[0] = 1;
+    op.accepts = 1;
+    view.options.push_back(op);
+    double acc = 0;
+    for (uint64_t i = 0; i < ops; ++i) {
+      conflict.RecordOptionOutcome(7, rng.Bernoulli(0.7));
+      acc += estimator.Estimate(view);
+    }
     DoNotOptimize(acc);
   });
 }
@@ -379,6 +409,7 @@ int main(int argc, char** argv) {
   results.push_back(BenchHistogramRecord(1000000 * scale, reps));
   results.push_back(BenchHistogramPercentile(20000 * scale, reps));
   results.push_back(BenchLikelihoodEstimate(20000 * scale, reps));
+  results.push_back(BenchLikelihoodInvert(5000 * scale, reps));
   results.push_back(BenchEndToEndTxn(2000 * scale, reps));
 
   double events_per_sec = 0.0;

@@ -53,25 +53,6 @@ double ImpliedSpeculationThreshold(const SpeculationCosts& costs);
 std::function<void(PlanetTransaction&)> MakeAdvisorCallback(
     const SpeculationCosts& costs);
 
-/// Cost model of the predictive early-abort decision (experiment F11): what
-/// a kill reclaims when the transaction was indeed doomed, against what a
-/// wrong kill forfeits.
-struct EarlyAbortCosts {
-  /// Utility of reclaiming the doomed transaction's resources now (the
-  /// client slot, the quorum work, the WAN sends of the remaining round).
-  double value_reclaim = 1.0;
-  /// Cost of killing a transaction that would in fact have committed.
-  /// Positive number; dominates value_reclaim in sane models, which is why
-  /// implied thresholds land deep in the 0.9+ range.
-  double cost_false_kill = 20.0;
-};
-
-/// The DoomScore above which killing maximizes expected utility:
-///   kill iff  D * value_reclaim > (1 - D) * cost_false_kill
-/// solved for D. Use as PlanetConfig::kill_threshold so applications tune
-/// costs instead of hand-picking a probability.
-double ImpliedKillThreshold(const EarlyAbortCosts& costs);
-
 }  // namespace planet
 
 #endif  // PLANET_PLANET_ADVISOR_H_

@@ -1,8 +1,10 @@
 #include "planet/predictor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -213,6 +215,9 @@ CommitLikelihoodEstimator::CommitLikelihoodEstimator(
       conflict_(conflict),
       reach_(reach) {
   PLANET_CHECK(latency != nullptr && conflict != nullptr);
+  // Targets are clamped to [0, 1], so no target has the bits of -1.
+  memo_.fill(AcceptProb{std::bit_cast<uint64_t>(-1.0), 0.0, 0.0});
+  tree_.fill(-1.0);
 }
 
 double CommitLikelihoodEstimator::ClassicRescue(double conflict_prob) const {
@@ -243,44 +248,47 @@ double CommitLikelihoodEstimator::FreshOptionLikelihood(Key key) const {
 }
 
 double CommitLikelihoodEstimator::EffectiveAcceptProb(Key key) const {
-  // Invert FreshSuccessGivenAcceptProb (monotone increasing in q) so that
-  // the zero-vote in-flight estimate equals FreshOptionLikelihood.
-  double target = FreshOptionLikelihood(key);
-  double lo = 0.0, hi = 1.0;
-  for (int iter = 0; iter < 30; ++iter) {
-    double mid = 0.5 * (lo + hi);
-    if (FreshSuccessGivenAcceptProb(mid) < target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
+  return AcceptProbFor(FreshOptionLikelihood(key)).q_eff;
 }
 
-double CommitLikelihoodEstimator::CachedAcceptProb(Key key,
-                                                   AcceptProbCache* cache) const {
-  if (cache != nullptr) {
-    for (const auto& [k, q] : cache->entries) {
-      if (k == key) return q;
+CommitLikelihoodEstimator::AcceptProb CommitLikelihoodEstimator::AcceptProbFor(
+    double target) const {
+  const auto bits = std::bit_cast<uint64_t>(target);
+  // Fibonacci hashing: the top bits of the product mix every mantissa bit.
+  AcceptProb& slot = memo_[(bits * 0x9E3779B97F4A7C15ull) >> (64 - kMemoBits)];
+  if (slot.target_bits == bits) return slot;
+  // Invert FreshSuccessGivenAcceptProb (monotone increasing in q) so that
+  // the zero-vote in-flight estimate equals FreshOptionLikelihood. Each
+  // midpoint is an exact dyadic rational fixed by the path to it, so the
+  // first kTreeLevels are cached by heap position (children of node i are
+  // 2i + 1 and 2i + 2).
+  double lo = 0.0, hi = 1.0;
+  size_t node = 0;
+  for (int iter = 0; iter < 30; ++iter) {
+    double mid = 0.5 * (lo + hi);
+    double success = iter < kTreeLevels ? tree_[node] : -1.0;
+    if (success < 0.0) {
+      success = FreshSuccessGivenAcceptProb(mid);
+      if (iter < kTreeLevels) tree_[node] = success;
     }
+    const bool below = success < target;
+    (below ? lo : hi) = mid;
+    node = 2 * node + (below ? 2 : 1);
   }
-  double q = EffectiveAcceptProb(key);
-  if (cache != nullptr) cache->entries.emplace_back(key, q);
-  return q;
+  double q = 0.5 * (lo + hi);
+  slot = AcceptProb{bits, q, ClassicRescue(1.0 - q)};
+  return slot;
 }
 
 double CommitLikelihoodEstimator::OptionLikelihood(const OptionProgress& op,
                                                    bool with_latency,
                                                    SimTime now,
                                                    Duration budget,
-                                                   DcId client_dc,
-                                                   AcceptProbCache* cache) const {
+                                                   DcId client_dc) const {
   if (op.decided) return op.chosen ? 1.0 : 0.0;
   // Per-acceptor accept probability implied by the calibrated option-level
   // outcome rate (consistent with FreshOptionLikelihood at zero votes).
-  double q_eff = CachedAcceptProb(op.option.key, cache);
-  double c = 1.0 - q_eff;
+  const AcceptProb accept = AcceptProbFor(FreshOptionLikelihood(op.option.key));
 
   // Failure detection: acceptors silent past dead_after cannot vote. Their
   // outstanding votes are written off, and the classic rescue disappears
@@ -301,7 +309,7 @@ double CommitLikelihoodEstimator::OptionLikelihood(const OptionProgress& op,
       (!master_dead || mdcc_.master_failover_timeout > 0);
 
   if (op.classic_inflight) {
-    double rescue = classic_possible ? ClassicRescue(c) : 0.0;
+    double rescue = classic_possible ? accept.rescue : 0.0;
     if (with_latency && rescue > 0) {
       // Classic adds a client->master->peers->master->client exchange; use
       // the master RTT as the dominant term.
@@ -323,7 +331,7 @@ double CommitLikelihoodEstimator::OptionLikelihood(const OptionProgress& op,
     }
   }
   int needed = mdcc_.FastQuorum() - op.accepts;
-  double p_vote = q_eff;
+  double p_vote = accept.q_eff;
 
   double p_fast;
   if (needed <= 0) {
@@ -351,8 +359,8 @@ double CommitLikelihoodEstimator::OptionLikelihood(const OptionProgress& op,
     p_fast = BinomialTail(outstanding, p_vote, needed);
   }
 
-  double rescue = classic_possible ? planet_.classic_damp * ClassicRescue(c)
-                                   : 0.0;
+  double rescue =
+      classic_possible ? planet_.classic_damp * accept.rescue : 0.0;
   if (with_latency && rescue > 0) {
     // The rescue path spends at least another master round trip.
     DcId master = mdcc_.MasterOf(op.option.key);
@@ -367,10 +375,8 @@ double CommitLikelihoodEstimator::Estimate(const TxnView& view,
   if (view.phase == TxnPhase::kCommitted) return 1.0;
   if (view.phase == TxnPhase::kAborted) return 0.0;
   double likelihood = 1.0;
-  AcceptProbCache cache;
   for (const OptionProgress& op : view.options) {
-    likelihood *= OptionLikelihood(op, /*with_latency=*/false, now, 0, 0,
-                                   &cache);
+    likelihood *= OptionLikelihood(op, /*with_latency=*/false, now, 0, 0);
   }
   return likelihood;
 }
@@ -381,10 +387,9 @@ double CommitLikelihoodEstimator::EstimateBy(const TxnView& view, SimTime now,
   if (view.phase == TxnPhase::kCommitted) return 1.0;
   if (view.phase == TxnPhase::kAborted) return 0.0;
   double likelihood = 1.0;
-  AcceptProbCache cache;
   for (const OptionProgress& op : view.options) {
-    likelihood *= OptionLikelihood(op, /*with_latency=*/true, now, budget,
-                                   client_dc, &cache);
+    likelihood *=
+        OptionLikelihood(op, /*with_latency=*/true, now, budget, client_dc);
   }
   return likelihood;
 }
@@ -404,14 +409,12 @@ double CommitLikelihoodEstimator::EstimateFresh(
     // Dead-DC-aware prior: evaluate each write as a zero-vote in-flight
     // option so the reachability terms apply.
     double likelihood = 1.0;
-    AcceptProbCache cache;
     for (const WriteOption& w : writes) {
       OptionProgress op;
       op.option = w;
       op.votes.assign(static_cast<size_t>(mdcc_.num_dcs), -1);
       op.proposed_at = now;
-      likelihood *= OptionLikelihood(op, /*with_latency=*/false, now, 0, 0,
-                                     &cache);
+      likelihood *= OptionLikelihood(op, /*with_latency=*/false, now, 0, 0);
     }
     return likelihood;
   }
@@ -438,7 +441,6 @@ double CommitLikelihoodEstimator::EstimateFreshBy(
   if (!warm) return EstimateFresh(writes, now);
 
   double likelihood = 1.0;
-  AcceptProbCache cache;
   for (const WriteOption& w : writes) {
     // Zero-vote in-flight option proposed "now": the latency-constrained
     // estimate then uses the learned RTT tails for every outstanding DC.
@@ -446,8 +448,8 @@ double CommitLikelihoodEstimator::EstimateFreshBy(
     op.option = w;
     op.votes.assign(static_cast<size_t>(mdcc_.num_dcs), -1);
     op.proposed_at = now;
-    likelihood *= OptionLikelihood(op, /*with_latency=*/true, now, sla,
-                                   client_dc, &cache);
+    likelihood *=
+        OptionLikelihood(op, /*with_latency=*/true, now, sla, client_dc);
   }
   return likelihood;
 }

@@ -16,8 +16,9 @@
 #ifndef PLANET_PLANET_PREDICTOR_H_
 #define PLANET_PLANET_PREDICTOR_H_
 
+#include <array>
+#include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -281,21 +282,26 @@ class CommitLikelihoodEstimator {
   double EffectiveAcceptProb(Key key) const;
 
  private:
-  /// Memo of EffectiveAcceptProb per key, valid for one estimator evaluation
-  /// (the underlying models do not change mid-evaluation). Avoids re-running
-  /// the 30-iteration bisection for every option on the same key. A flat
-  /// vector: transactions touch a handful of keys.
-  struct AcceptProbCache {
-    std::vector<std::pair<Key, double>> entries;
+  /// One slot of a direct-mapped memo of the accept-probability inversion,
+  /// keyed by the bit pattern of its target FreshOptionLikelihood(key).
+  /// Exact: q_eff depends only on the target and this estimator's fixed
+  /// configs, so a hit returns the bits the bisection would compute. A
+  /// colliding target overwrites the slot.
+  struct AcceptProb {
+    uint64_t target_bits;
+    double q_eff;
+    double rescue;  ///< ClassicRescue(1 - q_eff)
   };
+  static constexpr int kMemoBits = 10;
+  /// Bisection levels whose midpoint values are cached.
+  static constexpr int kTreeLevels = 12;
 
-  /// EffectiveAcceptProb with per-evaluation memoization.
-  double CachedAcceptProb(Key key, AcceptProbCache* cache) const;
+  /// The inversion for `target`: a memo hit, or a bisection on a miss.
+  AcceptProb AcceptProbFor(double target) const;
 
   /// Likelihood of one in-flight option, optionally latency-constrained.
   double OptionLikelihood(const OptionProgress& op, bool with_latency,
-                          SimTime now, Duration budget, DcId client_dc,
-                          AcceptProbCache* cache) const;
+                          SimTime now, Duration budget, DcId client_dc) const;
 
   double ClassicRescue(double conflict_prob) const;
 
@@ -308,6 +314,13 @@ class CommitLikelihoodEstimator {
   const LatencyModel* latency_;
   const ConflictModel* conflict_;
   const ReachabilityTracker* reach_;
+
+  // Caches filled on use by the const estimates. An estimator belongs to
+  // one PlanetContext, so to one cluster and one shard thread.
+  mutable std::array<AcceptProb, 1u << kMemoBits> memo_;
+  /// FreshSuccessGivenAcceptProb at each cached bisection midpoint, in heap
+  /// order; -1 until computed.
+  mutable std::array<double, (1u << kTreeLevels) - 1> tree_;
 };
 
 /// Reliability-diagram tracker: buckets predictions and records outcomes so

@@ -23,6 +23,7 @@ struct MergedSnapshot {
   uint64_t aborted;
   uint64_t unavailable;
   uint64_t finished;
+  uint64_t early_aborts;
   uint64_t events;
   Duration p50;
   Duration p99;
@@ -30,7 +31,8 @@ struct MergedSnapshot {
   bool operator==(const MergedSnapshot& o) const {
     return committed == o.committed && aborted == o.aborted &&
            unavailable == o.unavailable && finished == o.finished &&
-           events == o.events && p50 == o.p50 && p99 == o.p99;
+           early_aborts == o.early_aborts && events == o.events &&
+           p50 == o.p50 && p99 == o.p99;
   }
 };
 
@@ -40,6 +42,7 @@ MergedSnapshot Snapshot(const RunMetrics& merged, uint64_t events) {
   snap.aborted = merged.aborted;
   snap.unavailable = merged.unavailable;
   snap.finished = merged.finished();
+  snap.early_aborts = merged.early_aborts;
   snap.events = events;
   snap.p50 = merged.latency_all.Percentile(50);
   snap.p99 = merged.latency_all.Percentile(99);
@@ -53,12 +56,36 @@ ClusterOptions BaseOptions(uint64_t seed = 4242) {
   return base;
 }
 
+/// Uniform over 1,000 keys; AddLoad sets the shard fields.
+WorkloadConfig BaseKeys() {
+  WorkloadConfig wl;
+  wl.num_keys = 1000;
+  return wl;
+}
+
+/// The contended early-abort regime: the kill gauge is armed, so every vote
+/// and option decision re-runs the estimator, and reaches its memo, on the
+/// shard's own thread.
+ClusterOptions EarlyAbortOptions() {
+  ClusterOptions options = BaseOptions();
+  options.clients_per_dc = 4;
+  options.planet.kill_threshold = 0.95;
+  return options;
+}
+
+WorkloadConfig ZipfKeys() {
+  WorkloadConfig wl = BaseKeys();
+  wl.dist = KeyDist::kZipf;
+  wl.zipf_theta = 0.9;
+  return wl;
+}
+
 /// Starts one PLANET load generator per client of `cluster` (shard `shard`
-/// of `num_shards`), issuing for `run` from the cluster's current time and
-/// recording into `metrics`. `tag` separates the RNG streams of successive
-/// load phases.
-void AddLoad(Cluster* cluster, int shard, int num_shards, Duration run,
-             uint64_t tag, RunMetrics* metrics,
+/// of `num_shards`), drawing from `keys`, issuing for `run` from the
+/// cluster's current time and recording into `metrics`. `tag` separates the
+/// RNG streams of successive load phases.
+void AddLoad(Cluster* cluster, const WorkloadConfig& keys, int shard,
+             int num_shards, Duration run, uint64_t tag, RunMetrics* metrics,
              std::vector<std::unique_ptr<LoadGenerator>>* generators) {
   PlanetRunnerPolicy policy;
   policy.speculation_deadline = Millis(250);
@@ -67,8 +94,7 @@ void AddLoad(Cluster* cluster, int shard, int num_shards, Duration run,
   LoadGenerator::Options load;
   load.think_time_mean = Millis(50);
 
-  WorkloadConfig wl;
-  wl.num_keys = 1000;
+  WorkloadConfig wl = keys;
   wl.num_shards = num_shards;
   wl.shard = shard;
   for (int i = 0; i < cluster->num_clients(); ++i) {
@@ -84,21 +110,56 @@ void AddLoad(Cluster* cluster, int shard, int num_shards, Duration run,
 }
 
 /// Loads every shard for `run`, then drains.
-void LoadAndDrain(ShardedCluster& sharded, Duration run, uint64_t tag,
+void LoadAndDrain(ShardedCluster& sharded, const WorkloadConfig& keys,
+                  Duration run, uint64_t tag,
                   std::vector<std::unique_ptr<LoadGenerator>>* generators) {
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    AddLoad(sharded.shard(s), s, sharded.num_shards(), run, tag,
+    AddLoad(sharded.shard(s), keys, s, sharded.num_shards(), run, tag,
             &sharded.context(s).metrics, generators);
   }
   sharded.Drain();
   EXPECT_TRUE(sharded.AllConverged());
 }
 
-MergedSnapshot RunShardedPlanet(int num_shards, uint64_t seed = 4242) {
-  ShardedCluster sharded(BaseOptions(seed), num_shards);
+MergedSnapshot RunShardedPlanet(int num_shards,
+                                const ClusterOptions& options = BaseOptions(),
+                                const WorkloadConfig& keys = BaseKeys()) {
+  ShardedCluster sharded(options, num_shards);
   std::vector<std::unique_ptr<LoadGenerator>> generators;
-  LoadAndDrain(sharded, Seconds(5), 7000, &generators);
+  LoadAndDrain(sharded, keys, Seconds(5), 7000, &generators);
   return Snapshot(sharded.MergedMetrics(), sharded.TotalEventsProcessed());
+}
+
+/// A serial Cluster and a one-shard ShardedCluster run the same load.
+void ExpectOneShardIsTheSerialRun(const ClusterOptions& options,
+                                  const WorkloadConfig& keys) {
+  Cluster cluster(options);
+  RunMetrics metrics;
+  std::vector<std::unique_ptr<LoadGenerator>> generators;
+  AddLoad(&cluster, keys, 0, 1, Seconds(5), 7000, &metrics, &generators);
+  cluster.Drain();
+  MergedSnapshot serial = Snapshot(metrics, cluster.sim().events_processed());
+
+  MergedSnapshot one = RunShardedPlanet(1, options, keys);
+  EXPECT_GT(one.committed, 0u);
+  EXPECT_EQ(one, serial);
+}
+
+/// Load, drain, load more, drain again, on four worker threads each time:
+/// the second phase starts from the state the first left behind.
+std::vector<MergedSnapshot> RunTwoPhases(const ClusterOptions& options,
+                                         const WorkloadConfig& keys) {
+  ShardedCluster sharded(options, 4);
+  std::vector<std::unique_ptr<LoadGenerator>> generators;
+  LoadAndDrain(sharded, keys, Seconds(3), 7000, &generators);
+  MergedSnapshot first =
+      Snapshot(sharded.MergedMetrics(), sharded.TotalEventsProcessed());
+  LoadAndDrain(sharded, keys, Seconds(3), 9000, &generators);
+  MergedSnapshot second =
+      Snapshot(sharded.MergedMetrics(), sharded.TotalEventsProcessed());
+  EXPECT_GT(second.committed, first.committed);
+  EXPECT_GT(second.events, first.events);
+  return {first, second};
 }
 
 TEST(ShardedCluster, TwoShardsRunTwiceBitIdentical) {
@@ -118,39 +179,28 @@ TEST(ShardedStress, EightShardsRepeatedRunsIdentical) {
 
 TEST(ShardedStress, DifferentSeedsDiverge) {
   // Sanity that the snapshot is actually sensitive to the seed.
-  EXPECT_FALSE(RunShardedPlanet(4, 1) == RunShardedPlanet(4, 2));
+  EXPECT_FALSE(RunShardedPlanet(4, BaseOptions(1)) ==
+               RunShardedPlanet(4, BaseOptions(2)));
 }
 
 TEST(ShardedCluster, OneShardIsTheSerialRun) {
-  Cluster cluster(BaseOptions());
-  RunMetrics metrics;
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
-  AddLoad(&cluster, 0, 1, Seconds(5), 7000, &metrics, &generators);
-  cluster.Drain();
-  MergedSnapshot serial = Snapshot(metrics, cluster.sim().events_processed());
-
-  MergedSnapshot one = RunShardedPlanet(1);
-  EXPECT_GT(one.committed, 0u);
-  EXPECT_EQ(one, serial);
+  ExpectOneShardIsTheSerialRun(BaseOptions(), BaseKeys());
 }
 
 TEST(ShardedCluster, RepeatedDrainsAreBitIdentical) {
-  // Load, drain, load more, drain again: the second phase starts from the
-  // state the first left behind, on four worker threads each time.
-  auto run = [] {
-    ShardedCluster sharded(BaseOptions(), 4);
-    std::vector<std::unique_ptr<LoadGenerator>> generators;
-    LoadAndDrain(sharded, Seconds(3), 7000, &generators);
-    MergedSnapshot first =
-        Snapshot(sharded.MergedMetrics(), sharded.TotalEventsProcessed());
-    LoadAndDrain(sharded, Seconds(3), 9000, &generators);
-    MergedSnapshot second =
-        Snapshot(sharded.MergedMetrics(), sharded.TotalEventsProcessed());
-    EXPECT_GT(second.committed, first.committed);
-    EXPECT_GT(second.events, first.events);
-    return std::vector<MergedSnapshot>{first, second};
-  };
-  EXPECT_EQ(run(), run());
+  EXPECT_EQ(RunTwoPhases(BaseOptions(), BaseKeys()),
+            RunTwoPhases(BaseOptions(), BaseKeys()));
+}
+
+TEST(ShardedCluster, EarlyAbortOneShardIsTheSerialRun) {
+  ExpectOneShardIsTheSerialRun(EarlyAbortOptions(), ZipfKeys());
+}
+
+TEST(ShardedCluster, EarlyAbortRepeatedDrainsAreBitIdentical) {
+  std::vector<MergedSnapshot> first =
+      RunTwoPhases(EarlyAbortOptions(), ZipfKeys());
+  EXPECT_GT(first.back().early_aborts, 0u) << "the kill gauge never fired";
+  EXPECT_EQ(RunTwoPhases(EarlyAbortOptions(), ZipfKeys()), first);
 }
 
 TEST(ShardedCluster, ShardCountIsPartOfTheSeedDomain) {

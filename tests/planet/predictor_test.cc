@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <set>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace planet {
 namespace {
@@ -285,6 +291,184 @@ TEST_F(EstimatorTest, InflightStillMonotoneWithOptionModel) {
   EXPECT_LT(l0, l2);
   EXPECT_GT(l0, r1);
 }
+
+// The plain 30-step bisection that EffectiveAcceptProb memoizes, written
+// out from the public pieces: FreshSuccessGivenAcceptProb(q) is
+// P(fast quorum) + (1 - P(fast quorum)) * damp * ClassicRescue(1 - q).
+double ReferenceAcceptProb(const MdccConfig& mdcc, const PlanetConfig& planet,
+                           double target) {
+  auto classic_rescue = [&mdcc](double conflict) {
+    if (!mdcc.enable_classic) return 0.0;
+    return (1.0 - conflict) * BinomialTail(mdcc.num_dcs - 1, 1.0 - conflict,
+                                           mdcc.ClassicQuorum() - 1);
+  };
+  auto fresh_success = [&](double q) {
+    double p_fast = BinomialTail(mdcc.num_dcs, q, mdcc.FastQuorum());
+    double rescue = planet.classic_damp * classic_rescue(1.0 - q);
+    return std::clamp(p_fast + (1.0 - p_fast) * rescue, 0.0, 1.0);
+  };
+  double lo = 0.0, hi = 1.0;
+  for (int iter = 0; iter < 30; ++iter) {
+    double mid = 0.5 * (lo + hi);
+    if (fresh_success(mid) < target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+uint64_t BitsOf(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// A long-lived estimator memoizes the accept-probability inversion by its
+// target across calls. Under a seeded interleaving of model updates,
+// reachability probes and estimates, every answer must be bit-identical to
+// the plain bisection and to a freshly built estimator on the same models.
+// Parameter: use_option_level_model.
+class EstimatorMemo : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EstimatorMemo, BitIdenticalToPlainBisectionAndFreshEstimator) {
+  MdccConfig mdcc;
+  mdcc.num_dcs = 5;
+  PlanetConfig planet;
+  planet.use_option_level_model = GetParam();
+  LatencyModel latency(5, Millis(100));
+  ConflictModel conflict(0.1);
+  ReachabilityTracker reach(5, Millis(200));
+  CommitLikelihoodEstimator memo(mdcc, planet, &latency, &conflict, &reach);
+  // Only DC 0's links start warm, so EstimateFreshBy from DC 1 takes the
+  // cold path until the interleaving has fed its links.
+  for (int i = 0; i < 8; ++i) {
+    for (DcId d = 0; d < 5; ++d) latency.RecordRtt(0, d, Millis(40 + 10 * d));
+  }
+
+  // Key 0 always conflicts and key 1 never does: once each has 8
+  // observations their targets are exactly 0 and 1. The other keys drift.
+  constexpr Key kKeys = 3000;
+  Rng rng(GetParam() ? 101 : 202);
+  SimTime now = Millis(1);
+  std::set<uint64_t> targets;
+  int zero_targets = 0, one_targets = 0, dead_estimates = 0;
+  int classic_estimates = 0;
+
+  auto observe_target = [&](Key key) {
+    double target = memo.FreshOptionLikelihood(key);
+    targets.insert(BitsOf(target));
+    if (target == 0.0) ++zero_targets;
+    if (target == 1.0) ++one_targets;
+  };
+  auto random_key = [&rng] {
+    return rng.Bernoulli(0.2) ? Key(rng.Next() % 2) : Key(rng.Next() % kKeys);
+  };
+  auto accepted = [&rng](Key key) {
+    if (key < 2) return key == 1;
+    return rng.Bernoulli(0.3 + 0.6 * double(key % 7) / 6.0);
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    switch (rng.Next() % 6) {
+      case 0: {
+        Key key = random_key();
+        conflict.RecordVote(key, accepted(key));
+        break;
+      }
+      case 1: {
+        Key key = random_key();
+        conflict.RecordOptionOutcome(key, accepted(key));
+        break;
+      }
+      case 2:
+        latency.RecordRtt(DcId(rng.Next() % 2), DcId(rng.Next() % 5),
+                          Millis(30 + int64_t(rng.Next() % 150)));
+        break;
+      case 3: {
+        // DCs 3 and 4 answer rarely, so they go dead for stretches.
+        DcId dc = DcId(rng.Next() % 5);
+        if (rng.Bernoulli(dc >= 3 ? 0.1 : 0.5)) {
+          reach.RecordAck(dc, now);
+        } else {
+          reach.RecordProbe(dc, now);
+        }
+        now += Millis(int64_t(rng.Next() % 40));
+        break;
+      }
+      default: {
+        TxnView view;
+        view.phase = TxnPhase::kProposing;
+        std::vector<WriteOption> writes;
+        int num_options = 1 + int(rng.Next() % 3);
+        for (int o = 0; o < num_options; ++o) {
+          OptionProgress op;
+          op.option.key = random_key();
+          op.votes.assign(5, -1);
+          for (size_t d = 0; d < 5; ++d) {
+            int vote = int(rng.Next() % 3) - 1;
+            op.votes[d] = int8_t(vote);
+            if (vote == 1) ++op.accepts;
+            if (vote == 0) ++op.rejects;
+          }
+          op.classic_inflight = rng.Bernoulli(0.2);
+          op.decided = rng.Bernoulli(0.05);
+          op.chosen = rng.Bernoulli(0.5);
+          op.proposed_at = std::max<SimTime>(
+              0, now - Millis(int64_t(rng.Next() % 300)));
+          if (op.classic_inflight) ++classic_estimates;
+          observe_target(op.option.key);
+          writes.push_back(op.option);
+          view.options.push_back(op);
+        }
+        if (reach.AliveCount(now) < 5) ++dead_estimates;
+        Duration budget = Millis(int64_t(rng.Next() % 400));
+        DcId client_dc = DcId(rng.Next() % 2);
+
+        for (const WriteOption& w : writes) {
+          double reference = ReferenceAcceptProb(
+              mdcc, planet, memo.FreshOptionLikelihood(w.key));
+          ASSERT_TRUE(SameBits(memo.EffectiveAcceptProb(w.key), reference))
+              << "step " << step << " key " << w.key;
+        }
+        CommitLikelihoodEstimator fresh(mdcc, planet, &latency, &conflict,
+                                        &reach);
+        ASSERT_TRUE(SameBits(memo.Estimate(view, now),
+                             fresh.Estimate(view, now)))
+            << "step " << step;
+        ASSERT_TRUE(SameBits(memo.EstimateBy(view, now, budget, client_dc),
+                             fresh.EstimateBy(view, now, budget, client_dc)))
+            << "step " << step;
+        ASSERT_TRUE(SameBits(memo.EstimateFresh(writes, now),
+                             fresh.EstimateFresh(writes, now)))
+            << "step " << step;
+        ASSERT_TRUE(
+            SameBits(memo.EstimateFreshBy(writes, budget, client_dc, now),
+                     fresh.EstimateFreshBy(writes, budget, client_dc, now)))
+            << "step " << step;
+        break;
+      }
+    }
+  }
+  // The interleaving reached what it is meant to cover: targets of exactly
+  // 0 and 1, dead DCs, classic_inflight options, and more distinct targets
+  // than the memo has slots (1,024), so slots were overwritten.
+  EXPECT_GT(zero_targets, 0);
+  EXPECT_GT(one_targets, 0);
+  EXPECT_GT(dead_estimates, 0);
+  EXPECT_GT(classic_estimates, 0);
+  EXPECT_GT(targets.size(), 2048u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, EstimatorMemo, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "OptionLevel" : "VoteLevel";
+                         });
 
 TEST(Calibration, BucketsAndEce) {
   CalibrationTracker tracker(10);

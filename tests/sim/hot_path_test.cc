@@ -17,6 +17,7 @@
 
 #include "common/inline_function.h"
 #include "common/rng.h"
+#include "planet/predictor.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -109,6 +110,42 @@ TEST(HotPathAlloc, SteadyStateSendIsAllocFree) {
   EXPECT_EQ(InlineFunctionHeapFallbacks() - fallbacks_before, 0u);
   EXPECT_EQ(net.messages_sent(), static_cast<uint64_t>(kBatch) * 21u);
   EXPECT_EQ(net.messages_dropped(), 0u);
+}
+
+TEST(HotPathAlloc, WarmEstimateIsAllocFree) {
+  // With the kill gauge armed, Estimate runs on every vote. Once the first
+  // call has memoized both options' inversions, it must not touch the heap.
+  MdccConfig mdcc;
+  PlanetConfig planet_cfg;
+  LatencyModel latency(5, Millis(100));
+  ConflictModel conflict(0.05);
+  for (int i = 0; i < 100; ++i) {
+    conflict.RecordOptionOutcome(1, i % 3 != 0);
+    conflict.RecordOptionOutcome(2, i % 2 == 0);
+  }
+  ReachabilityTracker reach(5, Millis(500));
+  CommitLikelihoodEstimator estimator(mdcc, planet_cfg, &latency, &conflict,
+                                      &reach);
+  TxnView view;
+  view.phase = TxnPhase::kProposing;
+  for (Key key : {Key{1}, Key{2}}) {
+    OptionProgress op;
+    op.option.key = key;
+    op.votes.assign(5, -1);
+    op.votes[0] = 1;
+    op.accepts = 1;
+    view.options.push_back(op);
+  }
+  const double warm = estimator.Estimate(view, Millis(10));
+  ASSERT_GT(warm, 0.0);
+
+  uint64_t allocs_before = AllocCount();
+  bool unchanged = true;
+  for (int i = 0; i < 1000; ++i) {
+    unchanged &= estimator.Estimate(view, Millis(10)) == warm;
+  }
+  EXPECT_EQ(AllocCount() - allocs_before, 0u);
+  EXPECT_TRUE(unchanged);
 }
 
 TEST(HotPathAlloc, MdccSizedClosureStaysInline) {
