@@ -18,7 +18,6 @@
 // percentiles. The 2PC rows flatline to zero commits during the outage
 // while the MDCC rows dip only for DC 1's client share — the availability
 // argument for quorum commit protocols, reproduced end to end.
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,6 +60,14 @@ FaultSchedule MakeFaults() {
   return faults;
 }
 
+/// Files each result into the 4 s window of simulated time it finished in.
+auto WindowSink(F10Result& result, const Simulator& sim) {
+  return [&result, &sim](const TxnResult& r) {
+    int w = int(sim.Now() / kWindow);
+    if (w >= 0 && w < kWindows) result.windows[size_t(w)].Record(r);
+  };
+}
+
 F10Result RunPlanet() {
   ClusterOptions options;
   options.seed = 101;
@@ -79,24 +86,13 @@ F10Result RunPlanet() {
   result.stack = "planet";
   result.windows.resize(size_t(kWindows));
 
-  bench::PerfStamp perf(cluster.sim());
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    auto gen = std::make_unique<LoadGenerator>(
-        &cluster.sim(), cluster.ForkRng(7000 + i),
-        MakePlanetRunner(cluster.planet_client(i), wl,
-                         cluster.ForkRng(8000 + i), PlanetRunnerPolicy{}),
-        LoadGenerator::Options{});
-    gen->SetResultSink([&result, &cluster](const TxnResult& r) {
-      result.all.Record(r);
-      int w = int(cluster.sim().Now() / kWindow);
-      if (w >= 0 && w < kWindows) result.windows[size_t(w)].Record(r);
-    });
-    gen->Start(kTotal);
-    generators.push_back(std::move(gen));
-  }
-  cluster.Drain();
-  perf.Stamp(result.all);
+  result.all = bench::Drive(
+      cluster, kTotal, LoadGenerator::Options{},
+      [&](int i, Rng rng) {
+        return MakePlanetRunner(cluster.planet_client(i), wl, rng,
+                                PlanetRunnerPolicy{});
+      },
+      WindowSink(result, cluster.sim()));
 
   for (int i = 0; i < cluster.num_clients(); ++i) {
     result.failovers += cluster.client(i)->failovers();
@@ -124,23 +120,12 @@ F10Result RunTpc() {
   result.stack = "2pc";
   result.windows.resize(size_t(kWindows));
 
-  bench::PerfStamp perf(cluster.sim());
-  std::vector<std::unique_ptr<LoadGenerator>> generators;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    auto gen = std::make_unique<LoadGenerator>(
-        &cluster.sim(), cluster.ForkRng(7000 + i),
-        MakeTpcRunner(cluster.client(i), wl, cluster.ForkRng(8000 + i)),
-        LoadGenerator::Options{});
-    gen->SetResultSink([&result, &cluster](const TxnResult& r) {
-      result.all.Record(r);
-      int w = int(cluster.sim().Now() / kWindow);
-      if (w >= 0 && w < kWindows) result.windows[size_t(w)].Record(r);
-    });
-    gen->Start(kTotal);
-    generators.push_back(std::move(gen));
-  }
-  cluster.Drain();
-  perf.Stamp(result.all);
+  result.all = bench::Drive(
+      cluster, kTotal, LoadGenerator::Options{},
+      [&](int i, Rng rng) {
+        return MakeTpcRunner(cluster.client(i), wl, rng);
+      },
+      WindowSink(result, cluster.sim()));
   // 2PC has no anti-entropy: replication the master missed while down is
   // gone for good, so convergence is reported, not asserted.
   result.converged = cluster.ReplicasConverged();

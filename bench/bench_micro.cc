@@ -108,7 +108,7 @@ ComponentResult BenchSimScheduleRun(uint64_t ops, int reps) {
 
 /// Self-refilling event pump: every fired event schedules its successor, so
 /// each shard carries a steady 256-deep queue without any cross-shard
-/// traffic — the shape of a sharded drain (DrainShards, one thread per
+/// traffic — the shape of a sharded drain (RunOnThreads, one thread per
 /// shard, no synchronization between start and join).
 struct ShardPump {
   Simulator* sim;
@@ -140,7 +140,7 @@ ComponentResult BenchShardedRun(int shards, uint64_t ops, int reps,
       }
       sim->DetachFromThread();
     }
-    DrainShards(shards, [&sims](int s) {
+    RunOnThreads(shards, [&sims](int s) {
       // The pump closure is 16 bytes: if it ever stops fitting inline the
       // whole measurement silently becomes an allocator benchmark. The
       // counter is thread-local, so this delta is exactly this shard's.

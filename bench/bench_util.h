@@ -17,7 +17,7 @@ namespace bench {
 /// Stamps a run's wall-clock perf fields (docs/PERFORMANCE.md). Scoped to
 /// one cluster drive: construct before starting the generators, call
 /// Stamp() after Drain(). Wall clocks are fine here — bench/ is host-side
-/// code — but must never leak into simulated-world sources (planet_lint).
+/// code — but must never leak into simulated-world sources (planet_analyze).
 class PerfStamp {
  public:
   explicit PerfStamp(const Simulator& sim)
@@ -40,11 +40,12 @@ class PerfStamp {
 
 /// Drives one runner per client of `cluster` for `run_time` (simulated)
 /// and returns aggregated metrics. `make_runner(i, rng)` builds client i's
-/// runner; `load` selects closed- vs open-loop.
-template <typename ClusterT, typename MakeRunner>
+/// runner; `load` selects closed- vs open-loop; `on_result(r)` also sees
+/// every result, after the metrics have recorded it.
+template <typename ClusterT, typename MakeRunner, typename OnResult>
 RunMetrics Drive(ClusterT& cluster, Duration run_time,
                  const LoadGenerator::Options& load,
-                 const MakeRunner& make_runner) {
+                 const MakeRunner& make_runner, const OnResult& on_result) {
   RunMetrics metrics;
   PerfStamp perf(cluster.sim());
   std::vector<std::unique_ptr<LoadGenerator>> generators;
@@ -52,13 +53,23 @@ RunMetrics Drive(ClusterT& cluster, Duration run_time,
     auto gen = std::make_unique<LoadGenerator>(
         &cluster.sim(), cluster.ForkRng(7000 + i),
         make_runner(i, cluster.ForkRng(8000 + i)), load);
-    gen->SetResultSink(metrics.Sink());
+    gen->SetResultSink([&metrics, &on_result](const TxnResult& r) {
+      metrics.Record(r);
+      on_result(r);
+    });
     gen->Start(cluster.sim().Now() + run_time);
     generators.push_back(std::move(gen));
   }
   cluster.Drain();
   perf.Stamp(metrics);
   return metrics;
+}
+
+template <typename ClusterT, typename MakeRunner>
+RunMetrics Drive(ClusterT& cluster, Duration run_time,
+                 const LoadGenerator::Options& load,
+                 const MakeRunner& make_runner) {
+  return Drive(cluster, run_time, load, make_runner, [](const TxnResult&) {});
 }
 
 /// Drives `wl` on every PLANET client of `cluster`.

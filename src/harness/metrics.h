@@ -35,7 +35,7 @@ struct RunMetrics {  // planet-lint: allow(shard-unchecked)
   /// (bench/bench_util.h) AFTER the simulation drains. 0 means "not
   /// measured" and suppresses the JSON fields — deterministic tools like
   /// planetlab must never emit wall time or byte-identity would break.
-  /// Simulated-world code cannot read a wall clock (planet_lint), so these
+  /// Simulated-world code cannot read a wall clock (planet_analyze), so these
   /// are plain data here and only ever written from bench/.
   double wall_seconds = 0.0;
   uint64_t events_processed = 0;  ///< simulator events behind this run

@@ -16,35 +16,14 @@
 #define PLANET_HARNESS_SHARDED_CLUSTER_H_
 
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "harness/cluster.h"
 #include "harness/metrics.h"
+#include "harness/sweep.h"
 
 namespace planet {
-
-/// Runs `drain(s)` for every shard s in [0, num_shards): inline on the
-/// calling thread for one shard, otherwise on one thread per shard, all
-/// joined before this returns (the join is the caller's happens-before
-/// edge for reading shard state). `drain(s)` must touch only shard s and
-/// release its thread affinity before returning.
-template <typename DrainFn>
-void DrainShards(int num_shards, const DrainFn& drain) {
-  if (num_shards == 1) {
-    drain(0);
-    return;
-  }
-  // Host-side threads, one whole simulation each: no simulated-world code
-  // ever blocks or shares state across them. Each joins when `workers`
-  // goes out of scope.
-  std::vector<std::jthread> workers;  // planet-lint: allow(blocking-primitive)
-  workers.reserve(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    workers.emplace_back([&drain, s] { drain(s); });
-  }
-}
 
 /// What one shard's load generators record. Worker-private during Drain;
 /// merged in shard order afterwards.
@@ -78,12 +57,13 @@ class ShardedClusterT {
   ClusterT* shard(int s) { return shards_[static_cast<size_t>(s)].get(); }
   WorkerContext& context(int s) { return contexts_[static_cast<size_t>(s)]; }
 
-  /// Drains every shard, one thread per shard. Blocks until all shards are
-  /// idle. Callable repeatedly (load, drain, inspect, load more, drain
-  /// again).
+  /// Drains every shard, one thread per shard (a single shard drains
+  /// inline). Blocks until all shards are idle. Each worker touches only
+  /// its own shard and releases its thread affinity before returning.
+  /// Callable repeatedly (load, drain, inspect, load more, drain again).
   void Drain() {
     for (auto& cluster : shards_) cluster->DetachFromThread();
-    DrainShards(num_shards(), [this](int s) {
+    RunOnThreads(num_shards(), [this](int s) {
       ClusterT* cluster = shard(s);
       cluster->Drain();
       cluster->DetachFromThread();

@@ -1,5 +1,5 @@
-// SweepRunner: fans the independent sweep points of an experiment across a
-// thread pool. Every PLANET experiment is a set of fully independent
+// SweepRunner: fans the independent sweep points of an experiment across
+// host threads. Every PLANET experiment is a set of fully independent
 // deterministic simulations (one Cluster per point, each with its own seed),
 // so points can run concurrently; results are returned in submission order
 // and all printing happens afterwards on the main thread, which makes the
@@ -12,11 +12,13 @@
 #define PLANET_HARNESS_SWEEP_H_
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "harness/metrics_json.h"
 
 namespace planet {
@@ -31,7 +33,27 @@ struct SweepOptions {
 /// unknown. `bench_id` names the binary in the usage text.
 SweepOptions ParseSweepArgs(int argc, char** argv, const std::string& bench_id);
 
-/// Runs sweep points across a thread pool with deterministic result order.
+/// Runs `fn(t)` for every t in [0, num_threads): inline on the calling
+/// thread for one, otherwise on one thread each, all joined before this
+/// returns (the join is the caller's happens-before edge for reading what
+/// the threads wrote). The only place in src/ that starts a thread.
+template <typename Fn>
+void RunOnThreads(int num_threads, const Fn& fn) {
+  if (num_threads == 1) {
+    fn(0);
+    return;
+  }
+  // Host-side threads, one whole simulation (or a queue of them) each: no
+  // simulated-world code ever blocks or shares state across them. Each
+  // joins when `workers` goes out of scope.
+  std::vector<std::jthread> workers;  // planet-lint: allow(blocking-primitive)
+  workers.reserve(static_cast<size_t>(num_threads));
+  for (int t = 0; t < num_threads; ++t) {
+    workers.emplace_back([&fn, t] { fn(t); });
+  }
+}
+
+/// Runs sweep points across threads with deterministic result order.
 class SweepRunner {
  public:
   explicit SweepRunner(const SweepOptions& options) : options_(options) {}
@@ -40,22 +62,29 @@ class SweepRunner {
 
   /// Executes every point (each must be an independent simulation) and
   /// returns their results in submission order. R must be movable and
-  /// default-constructible. With threads <= 1 this degenerates to the plain
-  /// serial loop — same results, same order.
+  /// default-constructible. Workers take point indices from a shared
+  /// counter; with one thread that is the plain serial loop on the caller.
+  /// A throwing point does not stop the others: once every point has run,
+  /// the exception of the lowest-index throwing point is rethrown.
   template <typename R>
   std::vector<R> Run(std::vector<std::function<R()>> points) const {
     std::vector<R> results(points.size());
+    std::vector<std::exception_ptr> errors(points.size());
+    std::atomic<size_t> next{0};
     int threads = std::min<int>(std::max(1, options_.threads),
                                 static_cast<int>(points.size()));
-    if (threads <= 1) {
-      for (size_t i = 0; i < points.size(); ++i) results[i] = points[i]();
-      return results;
+    RunOnThreads(threads, [&](int) {
+      for (size_t i = next++; i < points.size(); i = next++) {
+        try {
+          results[i] = points[i]();
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    });
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
     }
-    ThreadPool pool(threads);
-    for (size_t i = 0; i < points.size(); ++i) {
-      pool.Submit([&results, &points, i] { results[i] = points[i](); });
-    }
-    pool.Wait();
     return results;
   }
 

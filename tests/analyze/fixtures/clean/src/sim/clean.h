@@ -1,10 +1,13 @@
 // Fixture: a pure simulated-world file. Mentions of banned primitives only
 // in comments ("std::chrono::steady_clock", "MutexLock") and strings must
 // not produce findings; the code itself allocates nothing, locks nothing,
-// and reads no clocks.
+// and reads no clocks. `slots_` has a brace-initialized template argument,
+// which the scanner splits at the brace; the analyzer must skip the tail.
 #ifndef FIXTURE_SIM_CLEAN_H_
 #define FIXTURE_SIM_CLEAN_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace planet {
@@ -23,6 +26,7 @@ class PureAccumulator {
  private:
   uint64_t sum_ = 0;
   uint64_t count_ = 0;
+  std::array<int, size_t{1} << 4> slots_;
 };
 
 inline uint64_t Mix(uint64_t a, uint64_t b) { return a * 31 + b; }

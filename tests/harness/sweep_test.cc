@@ -1,13 +1,19 @@
 // Tests of the sweep harness: SweepRunner determinism across thread counts
-// (including a real mini-cluster sweep), MetricsJson rendering and file
-// round-trip, and the deterministic JSON number/string formatting.
+// (including a real mini-cluster sweep), exception delivery, genuine
+// concurrency, MetricsJson rendering and file round-trip, and the
+// deterministic JSON number/string formatting. The threaded cases also run
+// under TSan (the CI tsan job).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -105,13 +111,69 @@ TEST(SweepRunner, ResultsInSubmissionOrder) {
 }
 
 TEST(SweepRunner, MoreThreadsThanPointsIsFine) {
+  // threads 0 counts as one thread.
+  for (int threads : {0, 16}) {
+    std::vector<std::function<int()>> points;
+    points.push_back([] { return 7; });
+    SweepOptions opts;
+    opts.threads = threads;
+    std::vector<int> results = SweepRunner(opts).Run(std::move(points));
+    ASSERT_EQ(results.size(), 1u) << "threads=" << threads;
+    EXPECT_EQ(results[0], 7) << "threads=" << threads;
+  }
+}
+
+TEST(SweepRunner, ThrowingPointLetsOthersRunAndLowestIndexIsRethrown) {
+  // Points 3 and 7 throw. With threads running concurrently, point 3 waits
+  // until point 7 has thrown, so the lowest index is not the first throw.
+  for (int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    std::atomic<bool> seven_threw{false};
+    std::vector<std::function<int()>> points;
+    for (int i = 0; i < 10; ++i) {
+      points.push_back([i, threads, &ran, &seven_threw]() -> int {
+        ++ran;
+        if (i == 3) {
+          while (threads > 1 && !seven_threw.load()) std::this_thread::yield();
+          throw std::runtime_error("point 3");
+        }
+        if (i == 7) {
+          seven_threw.store(true);
+          throw std::runtime_error("point 7");
+        }
+        return i;
+      });
+    }
+    SweepOptions opts;
+    opts.threads = threads;
+    try {
+      SweepRunner(opts).Run(std::move(points));
+      ADD_FAILURE() << "threads=" << threads << ": nothing rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "point 3") << "threads=" << threads;
+    }
+    EXPECT_EQ(ran.load(), 10) << "threads=" << threads;
+  }
+}
+
+TEST(SweepRunner, ParallelJobsActuallyOverlap) {
+  // Four points that each wait until all four have started: the sweep
+  // finishes only if four threads run them at once (a serial runner would
+  // spin forever).
+  std::atomic<int> started{0};
   std::vector<std::function<int()>> points;
-  points.push_back([] { return 7; });
+  for (int i = 0; i < 4; ++i) {
+    points.push_back([&started, i] {
+      ++started;
+      while (started.load() < 4) std::this_thread::yield();
+      return i;
+    });
+  }
   SweepOptions opts;
-  opts.threads = 16;
+  opts.threads = 4;
   std::vector<int> results = SweepRunner(opts).Run(std::move(points));
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0], 7);
+  EXPECT_EQ(results, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(started.load(), 4);
 }
 
 TEST(SweepRunner, EmptySweep) {
@@ -119,6 +181,56 @@ TEST(SweepRunner, EmptySweep) {
   opts.threads = 4;
   std::vector<std::function<int()>> points;
   EXPECT_TRUE(SweepRunner(opts).Run(std::move(points)).empty());
+}
+
+TEST(SweepStress, FirstExceptionDeliveredUnderLoad) {
+  SweepOptions opts;
+  opts.threads = 4;
+  SweepRunner runner(opts);
+  std::atomic<int> ran{0};
+  std::vector<std::function<int()>> points;
+  for (int j = 0; j < 100; ++j) {
+    points.push_back([&ran, j] {
+      ran.fetch_add(1);
+      if (j == 37) throw std::runtime_error("point 37");
+      return j;
+    });
+  }
+  EXPECT_THROW(runner.Run(points), std::runtime_error);
+  EXPECT_EQ(ran.load(), 100);  // the other points still ran to completion
+  // The runner keeps no error between sweeps: the next one runs clean.
+  points.erase(points.begin() + 37);
+  EXPECT_EQ(runner.Run(std::move(points)).size(), 99u);
+  EXPECT_EQ(ran.load(), 199);
+}
+
+TEST(SweepStress, ThreadedRunMatchesSerialAtScale) {
+  constexpr int kPoints = 200;
+  std::vector<std::function<uint64_t()>> points;
+  points.reserve(kPoints);
+  for (int i = 0; i < kPoints; ++i) {
+    points.push_back([i]() -> uint64_t {
+      // Deterministic per-point work with data-dependent length.
+      uint64_t acc = static_cast<uint64_t>(i);
+      for (int k = 0; k < 1000 + (i % 7) * 500; ++k) {
+        acc = acc * 6364136223846793005ULL + 1442695040888963407ULL;
+      }
+      return acc;
+    });
+  }
+
+  SweepOptions serial;
+  serial.threads = 1;
+  auto expected = SweepRunner(serial).Run(points);
+
+  SweepOptions threaded;
+  threaded.threads = 8;
+  auto actual = SweepRunner(threaded).Run(points);
+
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << "point " << i;
+  }
 }
 
 TEST(MetricsJson, DocumentShapeAndOrder) {

@@ -16,8 +16,8 @@
 # (build-perf/), runs it, and gates the result against the committed
 # BENCH_micro.json baseline (tools/perf/check_perf_regression.py; see
 # docs/PERFORMANCE.md). --analyze skips the build entirely: it runs
-# planet_lint and planet_analyze over the source tree (no compiler needed)
-# and leaves findings.json + lock_order.dot in build-analyze/ for triage.
+# planet_analyze over the source tree (no compiler needed) and leaves
+# findings.json in build-analyze/ for triage.
 # Exits non-zero if configuration, compilation, or any test/gate fails.
 set -euo pipefail
 
@@ -56,14 +56,11 @@ while [[ $# -gt 0 ]]; do
 done
 
 if [[ "$ANALYZE" == 1 ]]; then
-  # Static-analysis tier: line-local invariants (planet_lint), then the
-  # whole-tree semantic passes (planet_analyze). Artifacts land in
-  # build-analyze/ whether or not the gate passes, so CI can upload them.
+  # Static-analysis tier: the line-local rules and the whole-tree passes.
+  # findings.json lands in build-analyze/ whether or not the gate passes,
+  # so CI can upload it.
   mkdir -p build-analyze
-  tools/lint/planet_lint
-  exec python3 tools/analyze/planet_analyze \
-      --json build-analyze/findings.json \
-      --dot build-analyze/lock_order.dot
+  exec python3 tools/analyze/planet_analyze --json build-analyze/findings.json
 fi
 
 if [[ "$PERF" == 1 ]]; then
