@@ -110,6 +110,26 @@ TEST(SweepRunner, ResultsInSubmissionOrder) {
   for (int i = 0; i < 40; ++i) EXPECT_EQ(results[size_t(i)], i * 3);
 }
 
+TEST(SweepRunner, ResultsLandInSubmissionOrderSlots) {
+  // Point i returns only after every later point has, so the four points
+  // finish in reverse order (which needs four threads at once); each result
+  // still lands in its own point's slot.
+  std::atomic<int> finished{0};
+  std::vector<std::function<int()>> points;
+  for (int i = 0; i < 4; ++i) {
+    points.push_back([i, &finished] {
+      while (finished.load() < 3 - i) std::this_thread::yield();
+      ++finished;
+      return i * i;
+    });
+  }
+  SweepOptions opts;
+  opts.threads = 4;
+  std::vector<int> results = SweepRunner(opts).Run(std::move(points));
+  EXPECT_EQ(results, (std::vector<int>{0, 1, 4, 9}));
+  EXPECT_EQ(finished.load(), 4);
+}
+
 TEST(SweepRunner, MoreThreadsThanPointsIsFine) {
   // threads 0 counts as one thread.
   for (int threads : {0, 16}) {
@@ -120,6 +140,29 @@ TEST(SweepRunner, MoreThreadsThanPointsIsFine) {
     std::vector<int> results = SweepRunner(opts).Run(std::move(points));
     ASSERT_EQ(results.size(), 1u) << "threads=" << threads;
     EXPECT_EQ(results[0], 7) << "threads=" << threads;
+  }
+}
+
+TEST(SweepRunner, ThreadCountClampedToAtLeastOne) {
+  // Zero or negative threads run every point, in order, on the caller.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int threads : {0, -3}) {
+    std::vector<int> order;
+    std::vector<std::function<int()>> points;
+    for (int i = 0; i < 5; ++i) {
+      points.push_back([i, caller, &order] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+        return i + 1;
+      });
+    }
+    SweepOptions opts;
+    opts.threads = threads;
+    std::vector<int> results = SweepRunner(opts).Run(std::move(points));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}))
+        << "threads=" << threads;
+    EXPECT_EQ(results, (std::vector<int>{1, 2, 3, 4, 5}))
+        << "threads=" << threads;
   }
 }
 
