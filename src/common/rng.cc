@@ -117,7 +117,19 @@ ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
   PLANET_CHECK(n >= 1);
   PLANET_CHECK(theta >= 0.0);
   if (theta_ == 1.0) theta_ = 0.9999;
-  zetan_ = Zeta(n_, theta_);
+  if (theta_ == 0.0) return;  // Next never reads the constants below
+  // Set-up builds one generator per client over the same key space, and
+  // the sum costs one std::pow per key, so each thread keeps its last one.
+  struct LastZeta {
+    uint64_t n = 0;
+    double theta = 0.0;
+    double zeta = 0.0;
+  };
+  thread_local LastZeta last;
+  if (last.n != n_ || last.theta != theta_) {
+    last = LastZeta{n_, theta_, Zeta(n_, theta_)};
+  }
+  zetan_ = last.zeta;
   zeta2_ = Zeta(2, theta_);
   alpha_ = 1.0 / (1.0 - theta_);
   eta_ = (1.0 - std::pow(2.0 / double(n_), 1.0 - theta_)) /

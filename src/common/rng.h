@@ -65,7 +65,9 @@ class Rng {  // planet-lint: allow(shard-unchecked)
 
 /// Zipfian generator over [0, n) with parameter theta (0 = uniform,
 /// typical YCSB theta = 0.99). Uses the Gray et al. method: O(1) per sample
-/// after O(1) setup (approximate zeta via closed form for large n).
+/// after a set-up that sums min(n, 10^6) terms of zeta (closed-form tail
+/// beyond). Each thread keeps its last sum, so building generators for the
+/// same (n, theta) repeats none of it; theta 0 sums nothing.
 class ZipfGenerator {
  public:
   /// Requires n >= 1 and theta in [0, 1) U (1, ...); theta == 1 is
@@ -83,10 +85,11 @@ class ZipfGenerator {
 
   uint64_t n_;
   double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
-  double zeta2_;
+  // Unset at theta 0, where Next draws uniformly.
+  double alpha_ = 0.0;
+  double zetan_ = 0.0;
+  double eta_ = 0.0;
+  double zeta2_ = 0.0;
 };
 
 }  // namespace planet

@@ -248,7 +248,11 @@ double CommitLikelihoodEstimator::FreshOptionLikelihood(Key key) const {
 }
 
 double CommitLikelihoodEstimator::EffectiveAcceptProb(Key key) const {
-  return AcceptProbFor(FreshOptionLikelihood(key)).q_eff;
+  return EffectiveAcceptProbFor(FreshOptionLikelihood(key));
+}
+
+double CommitLikelihoodEstimator::EffectiveAcceptProbFor(double target) const {
+  return AcceptProbFor(target).q_eff;
 }
 
 CommitLikelihoodEstimator::AcceptProb CommitLikelihoodEstimator::AcceptProbFor(
@@ -258,26 +262,133 @@ CommitLikelihoodEstimator::AcceptProb CommitLikelihoodEstimator::AcceptProbFor(
   AcceptProb& slot = memo_[(bits * 0x9E3779B97F4A7C15ull) >> (64 - kMemoBits)];
   if (slot.target_bits == bits) return slot;
   // Invert FreshSuccessGivenAcceptProb (monotone increasing in q) so that
-  // the zero-vote in-flight estimate equals FreshOptionLikelihood. Each
-  // midpoint is an exact dyadic rational fixed by the path to it, so the
-  // first kTreeLevels are cached by heap position (children of node i are
-  // 2i + 1 and 2i + 2).
-  double lo = 0.0, hi = 1.0;
+  // the zero-vote in-flight estimate equals FreshOptionLikelihood. The
+  // answer is fixed by the plain bisection's comparisons f(mid) < target.
+  // Each midpoint is an exact dyadic rational fixed by the path to it, so
+  // the first kTreeLevels are cached by heap position (children of node i
+  // are 2i + 1 and 2i + 2). f_lo and f_hi track f at the cell's ends; the
+  // exact 0 and 1 at q = 0 and 1 only feed CertifiedBisection's guess.
+  double lo = 0.0, hi = 1.0, f_lo = 0.0, f_hi = 1.0;
   size_t node = 0;
-  for (int iter = 0; iter < 30; ++iter) {
-    double mid = 0.5 * (lo + hi);
-    double success = iter < kTreeLevels ? tree_[node] : -1.0;
-    if (success < 0.0) {
-      success = FreshSuccessGivenAcceptProb(mid);
-      if (iter < kTreeLevels) tree_[node] = success;
-    }
+  for (int level = 0; level < kTreeLevels; ++level) {
+    const double mid = 0.5 * (lo + hi);
+    double& success = tree_[node];
+    if (success < 0.0) success = FreshSuccessGivenAcceptProb(mid);
     const bool below = success < target;
     (below ? lo : hi) = mid;
+    (below ? f_lo : f_hi) = success;
     node = 2 * node + (below ? 2 : 1);
   }
-  double q = 0.5 * (lo + hi);
+  double q = CertifiedBisection(target, lo, f_lo, f_hi);
+  if (q < 0.0) {
+    for (int level = kTreeLevels; level < kLevels; ++level) {
+      const double mid = 0.5 * (lo + hi);
+      (FreshSuccessGivenAcceptProb(mid) < target ? lo : hi) = mid;
+    }
+    q = 0.5 * (lo + hi);
+  }
   slot = AcceptProb{bits, q, ClassicRescue(1.0 - q)};
   return slot;
+}
+
+// Why a certified cell is the plain loop's answer. Exact f is
+// non-decreasing in q: p = P(fast quorum) and r = damp * ClassicRescue(1 -
+// q) both rise with q, and r <= 1, so f = p + (1 - p) * r rises with both.
+// Let [L, H] be a 2^-30 cell inside the cached cell. Every midpoint m the
+// plain loop compares inside it is a 2^-30 grid point, so m <= L or m >= H.
+// With e = kFreshSuccessError, if computed f(L) < target - 2e and computed
+// f(H) >= target + 2e, then for m <= L
+//   computed f(m) <= f(m) + e <= f(L) + e <= computed f(L) + 2e < target,
+// and for m >= H likewise computed f(m) >= target: every comparison goes
+// the way that leads to [L, H]. At L = 0 (H = 1) no midpoint lies on that
+// side. A poor guess therefore costs a fallback, never a different answer.
+//
+// The bound e. Let u = 2^-53, and assume std::pow is within 2 ulps (4u) of
+// exact; predictor_test checks the resulting bound against long double.
+//  * 1 - p is within a relative u of exact (exact for p >= 1/2), and the
+//    rescue's 1 - (1 - q) is within u of q (exact on the 2^-30 grid).
+//  * BinomialTail(n, p, k) adds up at most n + 1 terms
+//    c * p^i * (1 - p)^(n - i) >= 0. The coefficient takes 2i rounded
+//    operations, the powers 4u each plus (n - i)u from 1 - p, the two
+//    products 2u and the running sum at most nu. As 2i + (n - i) <= 2n,
+//    each term is within (3n + 10)u relative, so the tail (at most 1) is
+//    within (3n + 10)u absolute; its clamp only moves it towards [0, 1].
+//  * r = damp * ((1 - (1 - q)) * tail): two more roundings, and the shift
+//    of q by u moves q * tail(n - 1, q) by at most nu (its slope is at
+//    most n). So r is within (4n + 12)u.
+//  * f = p + (1 - p) * r, with damp <= 1: the errors of p and r add, and
+//    the subtraction, product and sum (results below 2) round by at most
+//    u each: |computed f - f| <= (7n + 25)u, ignoring second-order terms
+//    below 1e-26. For n <= kMaxCertifiedDcs = 64 that is 473u, about
+//    5.3e-14; e = 1e-13 leaves room for the rounding of target -+ 2e.
+double CommitLikelihoodEstimator::CertifiedBisection(double target, double lo,
+                                                     double f_lo,
+                                                     double f_hi) const {
+  if (mdcc_.num_dcs > kMaxCertifiedDcs || !(planet_.classic_damp >= 0.0 &&
+                                            planet_.classic_damp <= 1.0)) {
+    return -1.0;
+  }
+  constexpr uint32_t kGrid = 1u << kTreeLevels;  // lo = j / kGrid
+  constexpr uint32_t kCells = 1u << (kLevels - kTreeLevels);
+  constexpr double kCell = 1.0 / double(kGrid) / double(kCells);  // 2^-30
+
+  // 1. Guess from cached values only: a polynomial in s = (q - lo) / (hi -
+  // lo) through the cell's ends and whichever neighbouring grid points
+  // (s = -1 and s = 2) are cached, P(s) = f_lo + d s + s (s - 1) (a + b s),
+  // then Newton steps on P(s) = target.
+  auto cached = [this](uint32_t j) {  // f at j / kGrid, -1 if not computed
+    const int zeros = std::countr_zero(j);
+    const size_t level = static_cast<size_t>(kTreeLevels - 1 - zeros);
+    return tree_[(size_t{1} << level) - 1 + (j >> (zeros + 1))];
+  };
+  const auto j = static_cast<uint32_t>(lo * kGrid);
+  const double below = j >= 2 ? cached(j - 1) : -1.0;
+  const double above = j + 2 < kGrid ? cached(j + 2) : -1.0;
+  const double d = f_hi - f_lo;
+  const double c_below = 0.5 * (below - 2.0 * f_lo + f_hi);
+  const double c_above = 0.5 * (f_lo - 2.0 * f_hi + above);
+  double a = 0.0, b = 0.0;
+  if (below >= 0.0 && above >= 0.0) {
+    b = (c_above - c_below) / 3.0;
+    a = c_below + b;
+  } else if (below >= 0.0) {
+    a = c_below;
+  } else if (above >= 0.0) {
+    a = c_above;
+  }
+  double s = d > 0.0 ? (target - f_lo) / d : 0.5;
+  for (int step = 0; step < 3; ++step) {
+    const double w = a + b * s;
+    const double slope = d + (2.0 * s - 1.0) * w + s * (s - 1.0) * b;
+    if (!(slope > 0.0)) break;
+    s -= (f_lo + d * s + s * (s - 1.0) * w - target) / slope;
+  }
+
+  // 2. Certify the 2^-30 cell holding the guess; 3. if that fails, once
+  // more the cell a secant step through the new values points to.
+  auto cell_of = [](double x) {  // fmax/fmin map NaN to 0
+    const double clamped = std::fmin(std::fmax(x, 0.0), 1.0);
+    return std::min(static_cast<uint32_t>(clamped * kCells), kCells - 1);
+  };
+  auto f_at = [&](uint32_t i) {  // f at lo + i * kCell, ends from the tree
+    if (i == 0) return f_lo;
+    if (i == kCells) return f_hi;
+    return FreshSuccessGivenAcceptProb(lo + i * kCell);
+  };
+  uint32_t k = cell_of(s);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const double l = lo + k * kCell, h = l + kCell;
+    const double f_l = f_at(k), f_h = f_at(k + 1);
+    if ((l == 0.0 || f_l < target - 2.0 * kFreshSuccessError) &&
+        (h == 1.0 || f_h >= target + 2.0 * kFreshSuccessError)) {
+      return 0.5 * (l + h);
+    }
+    const double secant = f_h > f_l ? (target - f_l) / (f_h - f_l) : 0.5;
+    const uint32_t next = cell_of((k + secant) / kCells);
+    if (next == k) break;
+    k = next;
+  }
+  return -1.0;
 }
 
 double CommitLikelihoodEstimator::OptionLikelihood(const OptionProgress& op,

@@ -281,6 +281,17 @@ class CommitLikelihoodEstimator {
   /// zero-vote estimate coincides with FreshOptionLikelihood.
   double EffectiveAcceptProb(Key key) const;
 
+  /// EffectiveAcceptProb for a target likelihood in [0, 1]: the answer of
+  /// a 30-step bisection for the q whose fresh-option success is `target`.
+  double EffectiveAcceptProbFor(double target) const;
+
+  /// Bound on |computed - exact| fresh-option success probability at any q
+  /// in [0, 1], for num_dcs <= kMaxCertifiedDcs and classic_damp in [0, 1].
+  /// The derivation is in predictor.cc; the inversion's fast path relies
+  /// on it and falls back to the plain bisection outside that range.
+  static constexpr double kFreshSuccessError = 1e-13;
+  static constexpr int kMaxCertifiedDcs = 64;
+
  private:
   /// One slot of a direct-mapped memo of the accept-probability inversion,
   /// keyed by the bit pattern of its target FreshOptionLikelihood(key).
@@ -293,11 +304,20 @@ class CommitLikelihoodEstimator {
     double rescue;  ///< ClassicRescue(1 - q_eff)
   };
   static constexpr int kMemoBits = 10;
+  /// Bisection levels: the answer is the midpoint of a 2^-30 cell.
+  static constexpr int kLevels = 30;
   /// Bisection levels whose midpoint values are cached.
   static constexpr int kTreeLevels = 12;
 
-  /// The inversion for `target`: a memo hit, or a bisection on a miss.
+  /// The inversion for `target`: a memo hit, or on a miss the cached tree
+  /// levels followed by CertifiedBisection or the plain loop.
   AcceptProb AcceptProbFor(double target) const;
+
+  /// Finishes the bisection inside the cached cell [lo, lo + 2^-12], whose
+  /// ends have f_lo and f_hi, from a guess that two evaluations certify;
+  /// -1 when the certificate fails.
+  double CertifiedBisection(double target, double lo, double f_lo,
+                            double f_hi) const;
 
   /// Likelihood of one in-flight option, optionally latency-constrained.
   double OptionLikelihood(const OptionProgress& op, bool with_latency,

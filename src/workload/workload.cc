@@ -1,6 +1,7 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/logging.h"
 
@@ -17,6 +18,44 @@ uint64_t StripeSpan(uint64_t n, int num_shards, int shard) {
 }
 
 }  // namespace
+
+Status ValidateWorkload(const WorkloadConfig& config) {
+  auto invalid = [](const auto&... parts) {
+    std::ostringstream msg;
+    (msg << ... << parts);
+    return Status::InvalidArgument(msg.str());
+  };
+  if (config.num_keys < 1) {
+    return invalid("the key space needs at least one key");
+  }
+  if (!(config.zipf_theta >= 0.0)) {
+    return invalid("zipf theta must be >= 0, got ", config.zipf_theta);
+  }
+  if (!(config.hot_fraction >= 0.0 && config.hot_fraction <= 1.0)) {
+    return invalid("hot fraction must be in [0, 1], got ",
+                   config.hot_fraction);
+  }
+  if (config.reads_per_txn < 0 || config.writes_per_txn < 0) {
+    return invalid("reads and writes per transaction must be >= 0, got ",
+                   config.reads_per_txn, " and ", config.writes_per_txn);
+  }
+  if (config.num_shards < 1 || config.shard < 0 ||
+      config.shard >= config.num_shards) {
+    return invalid("shard ", config.shard, " of ", config.num_shards,
+                   " does not exist");
+  }
+  const uint64_t span =
+      StripeSpan(config.num_keys, config.num_shards, config.shard);
+  const uint64_t per_txn = static_cast<uint64_t>(config.reads_per_txn) +
+                           static_cast<uint64_t>(config.writes_per_txn);
+  if (span < 1 || per_txn > span) {
+    return invalid("a transaction draws ", per_txn,
+                   " distinct keys (reads + writes) but shard ", config.shard,
+                   " of ", config.num_shards, " owns ", span, " of the ",
+                   config.num_keys, " keys");
+  }
+  return Status::OK();
+}
 
 KeyChooser::KeyChooser(const WorkloadConfig& config)
     : config_(config),

@@ -46,6 +46,13 @@ struct WorkloadConfig {
   int shard = 0;
 };
 
+/// What KeyChooser and the transaction runners require of a config: at
+/// least one key, zipf theta >= 0, a hot fraction in [0, 1], reads and
+/// writes >= 0, and a shard that owns at least one key and as many keys as
+/// one transaction draws (reads + writes, all distinct). They abort on a
+/// config it rejects, so tools check every config from user input first.
+[[nodiscard]] Status ValidateWorkload(const WorkloadConfig& config);
+
 /// Draws distinct keys according to the configured distribution.
 class KeyChooser {
  public:

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <thread>
 #include <vector>
 
 namespace planet {
@@ -175,6 +176,33 @@ TEST(Zipf, SamplesInRange) {
   Rng rng(13);
   ZipfGenerator zipf(37, 0.9);
   for (int i = 0; i < 10000; ++i) EXPECT_LT(zipf.Next(rng), 37u);
+}
+
+// Each thread keeps its last zeta sum. A generator must draw what one
+// built on a fresh thread (which sums from scratch) draws, whether its sum
+// was reused or recomputed after generators for another theta or n.
+TEST(Zipf, NormalizerMemoKeepsDrawsIdentical) {
+  auto draws = [](uint64_t n, double theta) {
+    ZipfGenerator zipf(n, theta);
+    Rng rng(15);
+    std::vector<uint64_t> out;
+    for (int i = 0; i < 2000; ++i) out.push_back(zipf.Next(rng));
+    return out;
+  };
+  auto on_fresh_thread = [&draws](uint64_t n, double theta) {
+    std::vector<uint64_t> out;
+    std::thread worker([&] { out = draws(n, theta); });
+    worker.join();
+    return out;
+  };
+  const std::vector<uint64_t> reference = on_fresh_thread(1000, 0.9);
+  EXPECT_EQ(draws(1000, 0.9), reference);
+  EXPECT_EQ(draws(1000, 0.9), reference);  // reused sum
+  EXPECT_EQ(draws(1000, 0.99), on_fresh_thread(1000, 0.99));
+  EXPECT_EQ(draws(1000, 0.9), reference);  // after another theta
+  EXPECT_EQ(draws(5000, 0.9), on_fresh_thread(5000, 0.9));
+  EXPECT_EQ(draws(1000, 0.9), reference);  // after another n
+  EXPECT_NE(draws(1000, 0.99), reference);
 }
 
 TEST(Zipf, LargeKeySpaceConstructsFast) {

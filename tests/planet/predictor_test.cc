@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -292,25 +296,28 @@ TEST_F(EstimatorTest, InflightStillMonotoneWithOptionModel) {
   EXPECT_GT(l0, r1);
 }
 
-// The plain 30-step bisection that EffectiveAcceptProb memoizes, written
-// out from the public pieces: FreshSuccessGivenAcceptProb(q) is
+// FreshSuccessGivenAcceptProb written out from the public pieces:
 // P(fast quorum) + (1 - P(fast quorum)) * damp * ClassicRescue(1 - q).
-double ReferenceAcceptProb(const MdccConfig& mdcc, const PlanetConfig& planet,
-                           double target) {
+double ReferenceFreshSuccess(const MdccConfig& mdcc, const PlanetConfig& planet,
+                             double q) {
   auto classic_rescue = [&mdcc](double conflict) {
     if (!mdcc.enable_classic) return 0.0;
     return (1.0 - conflict) * BinomialTail(mdcc.num_dcs - 1, 1.0 - conflict,
                                            mdcc.ClassicQuorum() - 1);
   };
-  auto fresh_success = [&](double q) {
-    double p_fast = BinomialTail(mdcc.num_dcs, q, mdcc.FastQuorum());
-    double rescue = planet.classic_damp * classic_rescue(1.0 - q);
-    return std::clamp(p_fast + (1.0 - p_fast) * rescue, 0.0, 1.0);
-  };
+  double p_fast = BinomialTail(mdcc.num_dcs, q, mdcc.FastQuorum());
+  double rescue = planet.classic_damp * classic_rescue(1.0 - q);
+  return std::clamp(p_fast + (1.0 - p_fast) * rescue, 0.0, 1.0);
+}
+
+// The plain 30-step bisection that EffectiveAcceptProb memoizes and whose
+// answer its fast path must reproduce.
+double ReferenceAcceptProb(const MdccConfig& mdcc, const PlanetConfig& planet,
+                           double target) {
   double lo = 0.0, hi = 1.0;
   for (int iter = 0; iter < 30; ++iter) {
     double mid = 0.5 * (lo + hi);
-    if (fresh_success(mid) < target) {
+    if (ReferenceFreshSuccess(mdcc, planet, mid) < target) {
       lo = mid;
     } else {
       hi = mid;
@@ -469,6 +476,123 @@ INSTANTIATE_TEST_SUITE_P(Models, EstimatorMemo, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "OptionLevel" : "VoteLevel";
                          });
+
+MdccConfig MdccWith(int num_dcs, bool classic) {
+  MdccConfig mdcc;
+  mdcc.num_dcs = num_dcs;
+  mdcc.enable_classic = classic;
+  return mdcc;
+}
+
+// The inversion's fast path guesses the answer's 2^-30 cell and certifies
+// it. These targets are built to break a guess: f at random 2^-30 grid
+// points (where the plain loop's comparison is a tie) and 1 and 2 ulps
+// either side, targets within 1e-12 of 0 and of 1 (where f is flat), and
+// exactly 0 and 1. Every answer must be bit-identical to the plain loop.
+// Parameters: num_dcs, enable_classic.
+class EstimatorExactness
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(EstimatorExactness, AdversarialTargetsMatchPlainBisection) {
+  const auto [num_dcs, classic] = GetParam();
+  const MdccConfig mdcc = MdccWith(num_dcs, classic);
+  const PlanetConfig planet;
+  LatencyModel latency(num_dcs, Millis(100));
+  ConflictModel conflict(0.1);
+  CommitLikelihoodEstimator estimator(mdcc, planet, &latency, &conflict);
+
+  Rng rng(1000 + uint64_t(num_dcs) * 2 + (classic ? 1 : 0));
+  std::vector<double> targets = {0.0, 1.0};
+  for (int i = 0; i < 3000; ++i) {
+    const double q = double(rng.Next() >> 34) * 0x1p-30;
+    double up = ReferenceFreshSuccess(mdcc, planet, q);
+    double down = up;
+    targets.push_back(up);
+    for (int ulps = 0; ulps < 2; ++ulps) {
+      up = std::nextafter(up, 2.0);
+      down = std::nextafter(down, -1.0);
+      targets.push_back(up);
+      targets.push_back(down);
+    }
+  }
+  for (int i = 0; i < 1000; ++i) {
+    targets.push_back(rng.NextDouble() * 1e-12);
+    targets.push_back(1.0 - rng.NextDouble() * 1e-12);
+  }
+  for (double target : targets) {
+    ASSERT_TRUE(SameBits(estimator.EffectiveAcceptProbFor(target),
+                         ReferenceAcceptProb(mdcc, planet, target)))
+        << "target " << std::hexfloat << target;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, EstimatorExactness,
+    ::testing::Combine(::testing::Values(3, 5, 7), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "Dcs" +
+             (std::get<1>(info.param) ? "Classic" : "FastOnly");
+    });
+
+// The same formula as ReferenceFreshSuccess in long double, with exact
+// binomial coefficients.
+long double LongDoubleFreshSuccess(const MdccConfig& mdcc,
+                                   const PlanetConfig& planet, long double q) {
+  auto tail = [](int n, long double p, int k) {
+    long double sum = 0.0L, c = 1.0L;  // c = C(n, i)
+    for (int i = 0; i <= n; ++i) {
+      if (i >= k) sum += c * std::pow(p, i) * std::pow(1.0L - p, n - i);
+      c = c * (n - i) / (i + 1);
+    }
+    return sum;
+  };
+  long double rescue =
+      mdcc.enable_classic
+          ? q * tail(mdcc.num_dcs - 1, q, mdcc.ClassicQuorum() - 1)
+          : 0.0L;
+  long double p_fast = tail(mdcc.num_dcs, q, mdcc.FastQuorum());
+  return p_fast + (1.0L - p_fast) * planet.classic_damp * rescue;
+}
+
+// kFreshSuccessError bounds the rounding error of the computed f; the fast
+// path's certificate is only as sound as that bound. Check it at every
+// 2^-12 grid point, at random q, and at q near 0 and near 1.
+TEST(FreshSuccessRounding, ErrorIsBelowBound) {
+  const PlanetConfig planet;
+  Rng rng(77);
+  long double max_gap = -1.0L;
+  std::string worst;
+  int points = 0;
+  for (int num_dcs : {3, 5, 7}) {
+    for (bool classic : {false, true}) {
+      const MdccConfig mdcc = MdccWith(num_dcs, classic);
+      auto check = [&](double q) {
+        long double gap = std::fabs(
+            static_cast<long double>(ReferenceFreshSuccess(mdcc, planet, q)) -
+            LongDoubleFreshSuccess(mdcc, planet, q));
+        ++points;
+        if (gap > max_gap) {
+          max_gap = gap;
+          char where[96];
+          std::snprintf(where, sizeof where, "num_dcs %d classic %d q %a",
+                        num_dcs, int(classic), q);
+          worst = where;
+        }
+      };
+      for (int j = 0; j <= 4096; ++j) check(j * 0x1p-12);
+      for (int i = 0; i < 150000; ++i) check(rng.NextDouble());
+      for (int i = 0; i < 10000; ++i) {
+        const double x = std::ldexp(rng.NextDouble(), -int(rng.Next() % 60));
+        check(x);
+        check(1.0 - x);
+      }
+    }
+  }
+  EXPECT_GE(points, 1000000);
+  EXPECT_LT(max_gap, CommitLikelihoodEstimator::kFreshSuccessError) << worst;
+  std::printf("largest |double - long double| gap: %.3Lg (%s) over %d points\n",
+              max_gap, worst.c_str(), points);
+}
 
 TEST(Calibration, BucketsAndEce) {
   CalibrationTracker tracker(10);

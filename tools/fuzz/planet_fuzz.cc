@@ -763,12 +763,25 @@ int Main(int argc, char** argv) {
       seeds.push_back(flags.seed_start + static_cast<uint64_t>(i));
     }
   }
+  // Derive every case first, so a workload override that some seed's
+  // derived config cannot run is a usage error before any seed runs.
+  std::vector<FuzzCase> cases;
+  for (uint64_t seed : seeds) {
+    cases.push_back(DeriveCase(seed, flags));
+    Status valid = ValidateWorkload(cases.back().wl);
+    if (!valid.ok()) {
+      std::fprintf(stderr, "bad workload for seed %llu: %s\n",
+                   static_cast<unsigned long long>(seed),
+                   valid.message().c_str());
+      return Usage();
+    }
+  }
 
   RunMetrics totals;
   int violations_found = 0;
   size_t witnesses_found = 0;
-  for (uint64_t seed : seeds) {
-    FuzzCase c = DeriveCase(seed, flags);
+  for (const FuzzCase& c : cases) {
+    const uint64_t seed = c.seed;
     RunOutcome out = RunCase(c);
     totals.Merge(out.metrics);
     if (flags.verbose) {

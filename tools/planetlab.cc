@@ -123,6 +123,8 @@ harness:    --sim-shards N    parallel sim shards, key-partitioned (1 =
 )");
 }
 
+WorkloadConfig MakeWorkload(const Args& args, int shard);
+
 bool ParseArgs(int argc, char** argv, Args* args) {
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -241,6 +243,19 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (args->dcs < 1) {
     std::fprintf(stderr, "--dcs wants a positive count\n");
     return false;
+  }
+  if (args->dist != "uniform" && args->dist != "zipf" &&
+      args->dist != "hotspot") {
+    std::fprintf(stderr, "--dist wants uniform | zipf | hotspot, got %s\n",
+                 args->dist.c_str());
+    return false;
+  }
+  for (int s = 0; s < args->sim_shards; ++s) {
+    Status valid = ValidateWorkload(MakeWorkload(*args, s));
+    if (!valid.ok()) {
+      std::fprintf(stderr, "workload: %s\n", valid.message().c_str());
+      return false;
+    }
   }
   if (args->stack == "2pc" && args->commutative) {
     std::fprintf(stderr, "--commutative needs --stack planet or mdcc: the "
