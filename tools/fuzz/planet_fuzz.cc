@@ -766,13 +766,14 @@ int Main(int argc, char** argv) {
   // Derive every case first, so a workload override that some seed's
   // derived config cannot run is a usage error before any seed runs.
   std::vector<FuzzCase> cases;
+  cases.reserve(seeds.size());
   for (uint64_t seed : seeds) {
     cases.push_back(DeriveCase(seed, flags));
-    Status valid = ValidateWorkload(cases.back().wl);
-    if (!valid.ok()) {
+    Status workload = ValidateWorkload(cases.back().wl);
+    if (!workload.ok()) {
       std::fprintf(stderr, "bad workload for seed %llu: %s\n",
                    static_cast<unsigned long long>(seed),
-                   valid.message().c_str());
+                   workload.message().c_str());
       return Usage();
     }
   }
