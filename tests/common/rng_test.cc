@@ -179,7 +179,7 @@ TEST(Zipf, SamplesInRange) {
 }
 
 // Each thread keeps its last zeta sum. A generator must draw what one
-// built on a fresh thread (which sums from scratch) draws, whether its sum
+// built on a fresh thread (which computes its own sum) draws, whether its sum
 // was reused or recomputed after generators for another theta or n.
 TEST(Zipf, NormalizerMemoKeepsDrawsIdentical) {
   auto draws = [](uint64_t n, double theta) {
