@@ -205,6 +205,7 @@ ComponentResult BenchStoreAcceptApply(uint64_t ops, int reps) {
     Store store;
     TxnId txn = 1;
     Version version = 0;
+    uint64_t accepted = 0;
     for (uint64_t i = 0; i < ops; ++i) {
       WriteOption o;
       o.txn = txn++;
@@ -212,11 +213,11 @@ ComponentResult BenchStoreAcceptApply(uint64_t ops, int reps) {
       o.kind = OptionKind::kPhysical;
       o.read_version = version;
       o.new_value = Value(txn);
-      store.AcceptOption(o);
-      store.ApplyOption(o.txn, o.key);
+      accepted += store.TryAcceptOption(o).ok();
+      store.ApplyOrLearn(o);
       ++version;
     }
-    DoNotOptimize(store.accepts());
+    DoNotOptimize(accepted);
   });
 }
 

@@ -38,7 +38,7 @@ void TpcNode::HandleCommit(TxnId txn, const WriteOption& option,
   // the coordinator's commit decision stands, so apply regardless.
   auto lock = locks_.find(option.key);
   if (lock != locks_.end() && lock->second == txn) locks_.erase(lock);
-  ApplyOrdered(option);
+  store_.ApplyInOrder(option);
 
   int needed = config_.ReplicationQuorum() - 1;  // master already holds it
   if (needed <= 0) {
@@ -75,35 +75,8 @@ void TpcNode::HandleAbort(TxnId txn, Key key) {
 
 void TpcNode::HandleReplicate(const WriteOption& option,
                               std::function<void()> ack) {
-  ApplyOrdered(option);
+  store_.ApplyInOrder(option);
   ack();
-}
-
-void TpcNode::ApplyOrdered(const WriteOption& option) {
-  PLANET_CHECK(option.kind == OptionKind::kPhysical);
-  Version current = store_.Read(option.key).version;
-  if (current == option.read_version) {
-    store_.LearnOption(option);
-    DrainDeferred(option.key);
-  } else if (current < option.read_version) {
-    deferred_[option.key][option.read_version] = option;
-  }
-  // current > read_version: duplicate, ignore.
-}
-
-void TpcNode::DrainDeferred(Key key) {
-  auto it = deferred_.find(key);
-  if (it == deferred_.end()) return;
-  auto& chain = it->second;
-  while (true) {
-    Version current = store_.Read(key).version;
-    auto next = chain.find(current);
-    if (next == chain.end()) break;
-    WriteOption option = next->second;
-    chain.erase(next);
-    store_.LearnOption(option);
-  }
-  if (chain.empty()) deferred_.erase(it);
 }
 
 void TpcNode::HandleRead(Key key, std::function<void(RecordView)> reply) {
@@ -114,7 +87,7 @@ void TpcNode::Crash() {
   PLANET_CHECK_MSG(!crashed(), "crash of already-crashed 2PC node dc=" << dc_);
   BeginCrash();
   locks_.clear();
-  deferred_.clear();
+  store_.DropDeferred();
 }
 
 void TpcNode::Restart() {
@@ -127,12 +100,14 @@ void TpcNode::Restart() {
 
 TpcClient::TpcClient(Simulator* sim, Network* net, NodeId id, DcId dc, Rng rng,
                      const TpcConfig& config, std::vector<TpcNode*> nodes)
-    : Node(sim, net, id, dc, rng), config_(config), nodes_(std::move(nodes)) {
+    : Coordinator(sim, net, id, dc, rng, config),
+      config_(config),
+      nodes_(std::move(nodes)) {
   PLANET_CHECK(static_cast<int>(nodes_.size()) == config_.num_dcs);
 }
 
 TxnId TpcClient::Begin() {
-  TxnId txn = (static_cast<TxnId>(id_) << 40) | next_local_txn_++;
+  TxnId txn = NewTxnId();
   TxnState& state = txns_[txn];
   state.id = txn;
   state.begin = Now();
@@ -144,97 +119,28 @@ TpcClient::TxnState* TpcClient::Find(TxnId txn) {
   return it == txns_.end() ? nullptr : &it->second;
 }
 
-void TpcClient::Read(TxnId txn, Key key, ReadCallback cb) {
+TpcClient::TxnBuffer* TpcClient::FindExecuting(TxnId txn) {
   TxnState* state = Find(txn);
-  PLANET_CHECK(state != nullptr && state->phase == Phase::kExecuting);
+  return state != nullptr && state->phase == Phase::kExecuting ? state
+                                                              : nullptr;
+}
+
+void TpcClient::Forget(TxnId txn) { txns_.erase(txn); }
+
+void TpcClient::SendRead(std::shared_ptr<PendingRead> read) {
   TpcNode* node = nodes_[static_cast<size_t>(dc_)];
   NodeId node_id = node->id();
-  auto done = std::make_shared<bool>(false);
-  auto timeout_event = std::make_shared<EventId>(kInvalidEventId);
-  auto cb_shared = std::make_shared<ReadCallback>(std::move(cb));
-  if (config_.read_timeout > 0) {
-    *timeout_event = sim_->Schedule(config_.read_timeout, [done, cb_shared] {
-      if (*done) return;
-      *done = true;
-      (*cb_shared)(Status::Unavailable("read timeout"), RecordView{});
-    });
-  }
-  net_->Send(id_, node_id,
-             [this, node, node_id, txn, key, done, timeout_event, cb_shared] {
-    node->HandleRead(key, [this, node_id, txn, key, done, timeout_event,
-                           cb_shared](RecordView view) {
-      net_->Send(node_id, id_,
-                 [this, txn, key, done, timeout_event, cb_shared,
-                  view]() mutable {
-        if (*done) return;
-        *done = true;
-        if (*timeout_event != kInvalidEventId) sim_->Cancel(*timeout_event);
-        TxnState* state = Find(txn);
-        if (state != nullptr && state->phase == Phase::kExecuting) {
-          if (isolation_ == IsolationLevel::kCausal) {
-            // Session guarantee (mirrors mdcc::Client): never observe a
-            // key older than this session already has.
-            auto floor = session_floor_.find(key);
-            if (floor != session_floor_.end() &&
-                floor->second.version > view.version) {
-              view = floor->second;
-            } else {
-              session_floor_[key] = view;
-            }
-          }
-          state->read_versions[key] = ObservedRead{view.version, Now()};
-        }
-        (*cb_shared)(Status::OK(), view);
+  net_->Send(id_, node_id, [this, node, node_id, read = std::move(read)] {
+    node->HandleRead(read->key, [this, node_id, read](RecordView view) {
+      net_->Send(node_id, id_, [this, read, view] {
+        OnReadReply(read, view, /*speculative=*/false);
       });
     });
   });
 }
 
-Status TpcClient::Write(TxnId txn, Key key, Value value) {
-  TxnState* state = Find(txn);
-  if (state == nullptr || state->phase != Phase::kExecuting) {
-    return Status::InvalidArgument("txn not executing");
-  }
-  auto rv = state->read_versions.find(key);
-  if (rv == state->read_versions.end()) {
-    return Status::FailedPrecondition("write requires a prior read (RMW)");
-  }
-  WriteOption option;
-  option.txn = txn;
-  option.key = key;
-  option.kind = OptionKind::kPhysical;
-  option.read_version = rv->second.version;
-  option.new_value = value;
-  state->writes[key] = option;
-  return Status::OK();
-}
-
-void TpcClient::AbortEarly(TxnId txn) {
-  TxnState* state = Find(txn);
-  if (state == nullptr || state->phase != Phase::kExecuting) return;
-  txns_.erase(txn);
-}
-
-void TpcClient::Commit(TxnId txn, CommitCallback cb) {
-  TxnState* state = Find(txn);
-  PLANET_CHECK(state != nullptr && state->phase == Phase::kExecuting);
-  state->cb = std::move(cb);
-  if (delays_ != nullptr) {
-    auto it = delays_->find(txn);
-    if (it != delays_->end() && it->second > 0) {
-      // Predictive-replay directive: defer the whole submission.
-      sim_->Schedule(it->second, [this, txn] {
-        TxnState* s = Find(txn);
-        if (s == nullptr || s->phase != Phase::kExecuting) return;
-        StartCommit(*s);
-      });
-      return;
-    }
-  }
-  StartCommit(*state);
-}
-
-void TpcClient::StartCommit(TxnState& state) {
+void TpcClient::StartCommit(TxnBuffer& txn_state) {
+  TxnState& state = static_cast<TxnState&>(txn_state);
   TxnId txn = state.id;
   if (state.writes.empty()) {
     state.phase = Phase::kCommitting;
@@ -343,52 +249,17 @@ void TpcClient::Finish(TxnState& state, Status outcome) {
     sim_->Cancel(state.timeout_event);
     state.timeout_event = kInvalidEventId;
   }
-  if (recorder_ != nullptr) {
-    RecordedTxn rec;
-    rec.id = state.id;
-    rec.client_dc = dc_;
-    rec.client_node = id_;
-    rec.isolation = isolation_;
-    rec.begin = state.begin;
-    rec.decide = Now();
-    rec.outcome = outcome.ok() ? TxnOutcome::kCommitted
-                  : outcome.IsUnavailable() ? TxnOutcome::kUnavailable
-                                            : TxnOutcome::kAborted;
-    // Phase-2 commit went out but the ack never came back: the decision is
-    // commit, yet this coordinator cannot know where it landed (in doubt).
-    rec.in_doubt = !outcome.ok() && state.commit_sent;
-    rec.reads.reserve(state.read_versions.size());
-    for (const auto& [key, observed] : state.read_versions) {
-      rec.reads.push_back(RecordedRead{key, observed.version,
-                                       /*speculative=*/false, observed.at});
-    }
-    rec.writes.reserve(state.writes.size());
-    for (const auto& [key, option] : state.writes) {
-      RecordedWrite w;
-      w.key = key;
-      w.kind = option.kind;
-      w.read_version = option.read_version;
-      w.new_value = option.new_value;
-      rec.writes.push_back(w);
-    }
-    recorder_->RecordTxn(std::move(rec));
-  }
+  // Phase-2 commit went out but the ack never came back: the decision is
+  // commit, yet this coordinator cannot know where it landed (in doubt).
+  NoteDecision(state, outcome, /*in_doubt=*/!outcome.ok() && state.commit_sent,
+               /*early_abort=*/false);
   if (outcome.ok()) {
     ++committed_;
-    if (isolation_ == IsolationLevel::kCausal) {
-      // Read-your-writes across transactions (mirrors mdcc::Client).
-      for (const auto& [key, option] : state.writes) {
-        if (option.kind != OptionKind::kPhysical) continue;
-        RecordView installed{option.read_version + 1, option.new_value};
-        RecordView& floor = session_floor_[key];
-        if (installed.version > floor.version) floor = installed;
-      }
-    }
   } else {
     ++aborted_;
   }
   TxnId txn = state.id;
-  CommitCallback cb = std::move(state.cb);
+  CommitCallback cb = std::move(state.commit_cb);
   sim_->Schedule(0, [cb = std::move(cb), outcome] {
     if (cb) cb(outcome);
   });

@@ -8,37 +8,25 @@
 //   Phase 2  Commit: apply at the home node, then synchronously replicate
 //            to a majority of the other data centers before acking; or
 //            Abort: release locks.
-// Reads are served by the local DC replica (read committed), matching the
-// MDCC stack so that the comparison isolates commit processing.
+// Reads are served by the local DC replica (read committed) through the
+// same client front end as the MDCC stack (txn/coordinator.h), so that the
+// comparison isolates commit processing.
 #ifndef PLANET_BASELINE_TPC_H_
 #define PLANET_BASELINE_TPC_H_
 
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "check/history.h"
-#include "common/status.h"
 #include "sim/node.h"
 #include "storage/store.h"
+#include "txn/coordinator.h"
 
 namespace planet {
 
-/// Baseline configuration.
-struct TpcConfig {
-  int num_dcs = 5;
-  Duration txn_timeout = Seconds(30);
-  /// Deadline for a read against the local replica (a crashed local node
-  /// otherwise hangs the client forever). 0 disables.
-  Duration read_timeout = Seconds(10);
-  /// Master placement, like MdccConfig: -1 hashes keys across DCs.
-  int master_dc = -1;
-
-  DcId MasterOf(Key key) const {
-    return master_dc >= 0 ? master_dc
-                          : static_cast<DcId>(key % static_cast<Key>(num_dcs));
-  }
+/// Baseline configuration: StackConfig's timeouts and master placement
+/// (MasterOf is a key's home node).
+struct TpcConfig : StackConfig {
   /// Synchronous replication degree: majority of DCs (including the master).
   int ReplicationQuorum() const { return num_dcs / 2 + 1; }
 };
@@ -66,7 +54,7 @@ class TpcNode : public Node {
   /// Phase 2 abort at the key's home node: releases the lock.
   void HandleAbort(TxnId txn, Key key);
 
-  /// Replication apply at a non-home replica (version ordered).
+  /// Replication apply at a non-home replica (Store::ApplyInOrder).
   void HandleReplicate(const WriteOption& option,
                        std::function<void()> ack);
 
@@ -83,73 +71,31 @@ class TpcNode : public Node {
   size_t LockedKeys() const { return locks_.size(); }
 
  private:
-  void ApplyOrdered(const WriteOption& option);
-  void DrainDeferred(Key key);
-
   TpcConfig config_;
   Store store_;
   std::vector<TpcNode*> peers_;
   std::unordered_map<Key, TxnId> locks_;
-  std::unordered_map<Key, std::map<Version, WriteOption>> deferred_;
 };
 
-/// Client-side 2PC coordinator. API mirrors the MDCC Client.
-class TpcClient : public Node {
+/// Client-side 2PC coordinator: the shared front end (Read, Write, Commit,
+/// AbortEarly, recording, isolation, schedule delays) over the 2PC commit.
+/// A finished transaction whose phase-2 commit went out but whose ack
+/// quorum never arrived is recorded in doubt, so the oracles treat its
+/// writes as possibly applied.
+class TpcClient : public Coordinator {
  public:
-  using ReadCallback = std::function<void(Status, RecordView)>;
-  using CommitCallback = std::function<void(Status)>;
-
   TpcClient(Simulator* sim, Network* net, NodeId id, DcId dc, Rng rng,
             const TpcConfig& config, std::vector<TpcNode*> nodes);
 
   TxnId Begin();
-  void Read(TxnId txn, Key key, ReadCallback cb);
-  [[nodiscard]] Status Write(TxnId txn, Key key, Value value);
-  void Commit(TxnId txn, CommitCallback cb);
-
-  /// Drops an unsubmitted transaction (e.g. after a read timeout).
-  void AbortEarly(TxnId txn);
-
-  /// Attaches a history recorder (see mdcc::Client::SetHistoryRecorder):
-  /// every finished transaction is logged, with the 2PC in-doubt window
-  /// (phase-2 commit started but the ack quorum never arrived) marked so
-  /// the oracles treat those writes as possibly applied.
-  void SetHistoryRecorder(HistoryRecorder* recorder) { recorder_ = recorder; }
-
-  /// Isolation mode for transactions begun from now on (mirrors
-  /// mdcc::Client::SetIsolation). 2PC reads only ever observe applied
-  /// state — there are no pending options to speculate on — so
-  /// read_committed changes recording context only; causal adds the same
-  /// client-side session floor as the MDCC stack.
-  void SetIsolation(IsolationLevel isolation) { isolation_ = isolation; }
-  IsolationLevel isolation() const { return isolation_; }
-
-  /// Per-transaction commit-submission delays (predictive replay); the map
-  /// must outlive the client. Null (default) = no directive lookups.
-  void SetScheduleDelays(const std::map<TxnId, Duration>* delays) {
-    delays_ = delays;
-  }
 
   uint64_t committed() const { return committed_; }
   uint64_t aborted() const { return aborted_; }
 
  private:
   enum class Phase { kExecuting, kPreparing, kCommitting, kDone };
-  /// What one read observed (version + recording metadata).
-  struct ObservedRead {
-    Version version = 0;
-    SimTime at = 0;
-  };
-  struct TxnState {
-    TxnId id = kInvalidTxnId;
+  struct TxnState : TxnBuffer {
     Phase phase = Phase::kExecuting;
-    SimTime begin = 0;
-    // Ordered: iterated when acquiring locks and committing, so iteration
-    // order decides message order on the wire — std::map keeps that order
-    // platform-independent (hash order is not).
-    std::map<Key, ObservedRead> read_versions;
-    std::map<Key, WriteOption> writes;
-    CommitCallback cb;
     EventId timeout_event = kInvalidEventId;
     int votes_pending = 0;
     bool vote_failed = false;
@@ -159,8 +105,10 @@ class TpcClient : public Node {
   };
 
   TxnState* Find(TxnId txn);
-  /// Body of Commit once any schedule delay has elapsed.
-  void StartCommit(TxnState& state);
+  TxnBuffer* FindExecuting(TxnId txn) override;
+  void Forget(TxnId txn) override;
+  void SendRead(std::shared_ptr<PendingRead> read) override;
+  void StartCommit(TxnBuffer& txn) override;
   void OnVote(TxnId txn, Key key, bool yes);
   void StartPhase2(TxnState& state, bool commit, Status outcome);
   void OnCommitAck(TxnId txn);
@@ -168,13 +116,7 @@ class TpcClient : public Node {
 
   TpcConfig config_;
   std::vector<TpcNode*> nodes_;
-  HistoryRecorder* recorder_ = nullptr;
-  IsolationLevel isolation_ = IsolationLevel::kSerializable;
-  const std::map<TxnId, Duration>* delays_ = nullptr;
-  /// kCausal only: per-session monotonic-read / read-your-writes floor.
-  std::map<Key, RecordView> session_floor_;
   std::unordered_map<TxnId, TxnState> txns_;
-  uint64_t next_local_txn_ = 1;
   uint64_t committed_ = 0;
   uint64_t aborted_ = 0;
 };

@@ -87,7 +87,7 @@ class Deployment {
   void SetHistoryRecorder(HistoryRecorder* recorder);
 
   /// Attaches predictive-replay commit delays to every coordinator client
-  /// (see mdcc::Client::SetScheduleDelays). The map must outlive the run.
+  /// (see Coordinator::SetScheduleDelays). The map must outlive the run.
   void SetScheduleDelays(const ScheduleDelays* delays);
 
   /// Committed snapshots of every non-crashed node, as the convergence

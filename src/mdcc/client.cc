@@ -25,7 +25,7 @@ const char* TxnPhaseName(TxnPhase phase) {
 
 Client::Client(Simulator* sim, Network* net, NodeId id, DcId dc, Rng rng,
                const MdccConfig& config, std::vector<Replica*> replicas)
-    : Node(sim, net, id, dc, rng),
+    : Coordinator(sim, net, id, dc, rng, config),
       config_(config),
       replicas_(std::move(replicas)) {
   PLANET_CHECK(static_cast<int>(replicas_.size()) == config_.num_dcs);
@@ -33,11 +33,13 @@ Client::Client(Simulator* sim, Network* net, NodeId id, DcId dc, Rng rng,
 }
 
 TxnId Client::Begin() {
-  TxnId txn = (static_cast<TxnId>(id_) << 40) | next_local_txn_++;
+  TxnId txn = NewTxnId();
   TxnState& state = txns_[txn];
+  state.id = txn;
+  state.begin = Now();
   state.view.id = txn;
   state.view.phase = TxnPhase::kExecuting;
-  state.view.begin_time = Now();
+  state.view.begin_time = state.begin;
   return txn;
 }
 
@@ -53,120 +55,43 @@ OptionProgress* Client::FindOption(TxnState& state, Key key) {
   return nullptr;
 }
 
-void Client::Read(TxnId txn, Key key, ReadCallback cb) {
+Client::TxnBuffer* Client::FindExecuting(TxnId txn) {
   TxnState* state = Find(txn);
-  PLANET_CHECK_MSG(state != nullptr, "read on unknown txn " << txn);
-  PLANET_CHECK(state->view.phase == TxnPhase::kExecuting);
+  return state != nullptr && !state->done &&
+                 state->view.phase == TxnPhase::kExecuting
+             ? state
+             : nullptr;
+}
 
-  // Read-your-writes: a buffered physical write is served from the write
-  // buffer without a network round trip (its read version is already
-  // pinned by the earlier read).
-  auto buffered = state->writes.find(key);
-  if (buffered != state->writes.end() &&
-      buffered->second.kind == OptionKind::kPhysical) {
-    RecordView view{state->read_versions[key].version,
-                    buffered->second.new_value};
-    sim_->Schedule(0, [cb = std::move(cb), view] { cb(Status::OK(), view); });
-    return;
-  }
+void Client::Forget(TxnId txn) { txns_.erase(txn); }
 
-  // The reply and the timeout race; whoever fires first answers the read.
-  // A crashed or partitioned local replica otherwise hangs the transaction
-  // (and its closed-loop client) forever.
-  auto done = std::make_shared<bool>(false);
-  auto timeout_event = std::make_shared<EventId>(kInvalidEventId);
-  if (config_.read_timeout > 0) {
-    *timeout_event = sim_->Schedule(config_.read_timeout, [done, cb] {
-      if (*done) return;
-      *done = true;
-      cb(Status::Unavailable("read timeout"), RecordView{});
-    });
-  }
-
+void Client::SendRead(std::shared_ptr<PendingRead> read) {
   if (global_send_listener_) global_send_listener_(dc_);
   Replica* replica = local_replica();
   NodeId replica_id = replica->id();
-  net_->Send(id_, replica_id, [this, replica, replica_id, txn, key, done,
-                               timeout_event, cb = std::move(cb)] {
+  net_->Send(id_, replica_id,
+             [this, replica, replica_id, read = std::move(read)] {
     // Shared reply path of both read flavours; `speculative` says whether
     // the view exposes a pending (undecided) option.
-    auto on_view = [this, replica_id, txn, key, done, timeout_event,
-                    cb](RecordView view, bool speculative) {
-      net_->Send(replica_id, id_,
-                 [this, txn, key, done, timeout_event, cb, view,
-                  speculative]() mutable {
-        if (*done) return;
-        *done = true;
-        if (*timeout_event != kInvalidEventId) {
-          sim_->Cancel(*timeout_event);
-        }
-        TxnState* state = Find(txn);
-        if (state != nullptr && !state->done &&
-            state->view.phase == TxnPhase::kExecuting) {
-          if (isolation_ == IsolationLevel::kCausal) {
-            // Session guarantee: never observe a key older than this
-            // session already has. A lagging replica's reply is upgraded
-            // to the remembered floor view.
-            auto floor = session_floor_.find(key);
-            if (floor != session_floor_.end() &&
-                floor->second.version > view.version) {
-              view = floor->second;
-            } else {
-              session_floor_[key] = view;
-            }
-          }
-          state->read_versions[key] = ObservedRead{view.version, speculative,
-                                                   Now()};
-          // Read-your-writes for buffered commutative deltas.
-          auto w = state->writes.find(key);
-          if (w != state->writes.end() &&
-              w->second.kind == OptionKind::kCommutative) {
-            view.value += w->second.delta;
-          }
-        }
-        cb(Status::OK(), view);
+    auto reply = [this, replica_id, read](RecordView view, bool speculative) {
+      net_->Send(replica_id, id_, [this, read, view, speculative] {
+        OnReadReply(read, view, speculative);
       });
     };
-    if (isolation_ == IsolationLevel::kReadCommitted) {
-      replica->HandleReadSpeculative(key, id_, std::move(on_view));
+    if (isolation() == IsolationLevel::kReadCommitted) {
+      replica->HandleReadSpeculative(read->key, id_, std::move(reply));
     } else {
-      replica->HandleRead(key, id_, [on_view = std::move(on_view)](
-                                        RecordView view) mutable {
-        on_view(view, false);
-      });
+      replica->HandleRead(read->key, id_,
+                          [reply = std::move(reply)](RecordView view) {
+                            reply(view, false);
+                          });
     }
   });
 }
 
-Status Client::Write(TxnId txn, Key key, Value value) {
-  TxnState* state = Find(txn);
-  if (state == nullptr || state->view.phase != TxnPhase::kExecuting) {
-    return Status::InvalidArgument("txn not executing");
-  }
-  auto rv = state->read_versions.find(key);
-  if (rv == state->read_versions.end()) {
-    return Status::FailedPrecondition("write requires a prior read (RMW)");
-  }
-  auto existing = state->writes.find(key);
-  if (existing != state->writes.end() &&
-      existing->second.kind == OptionKind::kCommutative) {
-    return Status::InvalidArgument("key already has a commutative write");
-  }
-  WriteOption option;
-  option.txn = txn;
-  option.key = key;
-  option.kind = OptionKind::kPhysical;
-  option.read_version = rv->second.version;
-  option.new_value = value;
-  state->writes[key] = option;
-  return Status::OK();
-}
-
 Status Client::Add(TxnId txn, Key key, Value delta) {
-  TxnState* state = Find(txn);
-  if (state == nullptr || state->view.phase != TxnPhase::kExecuting) {
-    return Status::InvalidArgument("txn not executing");
-  }
+  TxnBuffer* state = FindExecuting(txn);
+  if (state == nullptr) return Status::InvalidArgument("txn not executing");
   auto existing = state->writes.find(key);
   if (existing != state->writes.end()) {
     if (existing->second.kind != OptionKind::kCommutative) {
@@ -184,33 +109,8 @@ Status Client::Add(TxnId txn, Key key, Value delta) {
   return Status::OK();
 }
 
-void Client::Commit(TxnId txn, CommitCallback cb) {
-  TxnState* state = Find(txn);
-  PLANET_CHECK_MSG(state != nullptr, "commit on unknown txn " << txn);
-  PLANET_CHECK(state->view.phase == TxnPhase::kExecuting);
-  state->commit_cb = std::move(cb);
-
-  if (delays_ != nullptr) {
-    auto it = delays_->find(txn);
-    if (it != delays_->end() && it->second > 0) {
-      // Predictive-replay directive: hold the whole commit submission (the
-      // options stay unproposed, so other clients' reads cannot observe
-      // them yet) and propose after the delay.
-      sim_->Schedule(it->second, [this, txn] {
-        TxnState* s = Find(txn);
-        if (s == nullptr || s->done ||
-            s->view.phase != TxnPhase::kExecuting) {
-          return;
-        }
-        StartCommit(*s);
-      });
-      return;
-    }
-  }
-  StartCommit(*state);
-}
-
-void Client::StartCommit(TxnState& state) {
+void Client::StartCommit(TxnBuffer& txn) {
+  TxnState& state = static_cast<TxnState&>(txn);
   state.view.propose_time = Now();
   if (state.writes.empty()) {
     // Read-only: needs no coordination.
@@ -218,13 +118,6 @@ void Client::StartCommit(TxnState& state) {
     return;
   }
   ProposeFast(state);
-}
-
-void Client::AbortEarly(TxnId txn) {
-  TxnState* state = Find(txn);
-  if (state == nullptr) return;
-  PLANET_CHECK(state->view.phase == TxnPhase::kExecuting);
-  txns_.erase(txn);
 }
 
 bool Client::KillInFlight(TxnId txn) {
@@ -472,44 +365,13 @@ void Client::OnTimeout(TxnId txn) {
   Decide(*state, false, Status::Unavailable("transaction timeout"));
 }
 
-void Client::RecordDecision(const TxnState& state, bool commit,
-                            const Status& outcome) {
-  RecordedTxn rec;
-  rec.id = state.view.id;
-  rec.client_dc = dc_;
-  rec.client_node = id_;
-  rec.isolation = isolation_;
-  rec.begin = state.view.begin_time;
-  rec.decide = state.view.decide_time;
-  rec.outcome = commit ? TxnOutcome::kCommitted
-                : outcome.IsUnavailable() ? TxnOutcome::kUnavailable
-                                          : TxnOutcome::kAborted;
-  rec.early_abort = state.early_killed;
-  rec.reads.reserve(state.read_versions.size());
-  for (const auto& [key, observed] : state.read_versions) {
-    rec.reads.push_back(
-        RecordedRead{key, observed.version, observed.speculative, observed.at});
-  }
-  rec.writes.reserve(state.writes.size());
-  for (const auto& [key, option] : state.writes) {
-    RecordedWrite w;
-    w.key = key;
-    w.kind = option.kind;
-    w.read_version = option.read_version;
-    w.new_value = option.new_value;
-    w.delta = option.delta;
-    rec.writes.push_back(w);
-  }
-  recorder_->RecordTxn(std::move(rec));
-}
-
 void Client::Decide(TxnState& state, bool commit, Status outcome,
                     bool early_kill) {
   if (state.done) return;
   state.done = true;
   state.view.decide_time = Now();
   state.view.outcome = outcome;
-  if (recorder_ != nullptr) RecordDecision(state, commit, outcome);
+  NoteDecision(state, outcome, /*in_doubt=*/false, state.early_killed);
   if (state.timeout_event != kInvalidEventId) {
     sim_->Cancel(state.timeout_event);
     state.timeout_event = kInvalidEventId;
@@ -522,17 +384,6 @@ void Client::Decide(TxnState& state, bool commit, Status outcome,
     ++aborted_;
   }
   SetPhase(state, commit ? TxnPhase::kCommitted : TxnPhase::kAborted);
-
-  if (commit && isolation_ == IsolationLevel::kCausal) {
-    // Read-your-writes across transactions: future session reads must be at
-    // least as fresh as the versions this commit installs.
-    for (const auto& [key, option] : state.writes) {
-      if (option.kind != OptionKind::kPhysical) continue;
-      RecordView installed{option.read_version + 1, option.new_value};
-      RecordView& floor = session_floor_[key];
-      if (installed.version > floor.version) floor = installed;
-    }
-  }
 
   // Visibility broadcast: every replica learns the decision for every option
   // (including replicas that rejected or never voted).

@@ -1,12 +1,13 @@
 // Client-side transaction coordinator for the MDCC-style commit stack.
 //
-// The coordinator lives in the client library (as in MDCC/PLANET): it
-// executes reads against the local data center's replica (read committed),
-// buffers writes, and at commit time proposes one option per written key to
-// the per-record Paxos instances — fast path first (direct to all replicas,
-// fast quorum), with a classic fallback through the key's master once the
-// fast quorum becomes unreachable. The transaction commits iff every option
-// is chosen; the decision is broadcast as a Visibility message.
+// The coordinator lives in the client library (as in MDCC/PLANET). Reads,
+// write buffering and the rest of the client front end come from
+// Coordinator (txn/coordinator.h), shared with the 2PC baseline. At commit
+// time it proposes one option per written key to the per-record Paxos
+// instances — fast path first (direct to all replicas, fast quorum), with a
+// classic fallback through the key's master once the fast quorum becomes
+// unreachable. The transaction commits iff every option is chosen; the
+// decision is broadcast as a Visibility message.
 //
 // Observability: every vote, option decision and phase change is surfaced
 // through TxnObserver — this is the substrate for PLANET's progress
@@ -17,17 +18,13 @@
 #ifndef PLANET_MDCC_CLIENT_H_
 #define PLANET_MDCC_CLIENT_H_
 
-#include <functional>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "check/history.h"
 #include "common/inline_function.h"
-#include "common/status.h"
 #include "mdcc/config.h"
 #include "mdcc/replica.h"
-#include "sim/node.h"
+#include "txn/coordinator.h"
 
 namespace planet {
 
@@ -96,18 +93,10 @@ struct TxnObserver {
   InlineFunction<void(TxnPhase phase), 32> on_phase;
 };
 
-/// Per-transaction commit-submission delays, keyed by TxnId. Transaction
-/// ids are per-client sequence numbers ((node id << 40) | seq), so they are
-/// stable across replays of the same seed — the predictive pass exploits
-/// this to target one specific transaction of a re-run.
-using ScheduleDelays = std::map<TxnId, Duration>;
-
 /// The client node. One per simulated application server; owns the
 /// coordinators of all transactions it begins. Not thread safe (simulated).
-class Client : public Node {
+class Client : public Coordinator {
  public:
-  using ReadCallback = std::function<void(Status, RecordView)>;
-  using CommitCallback = std::function<void(Status)>;
   /// Predictor-feed listeners fire on every vote / decision / send, so they
   /// share the observers' no-allocation callable. The predictor installs
   /// [this] lambdas; 32 bytes leaves headroom for a fatter consumer.
@@ -121,27 +110,12 @@ class Client : public Node {
   Client(Simulator* sim, Network* net, NodeId id, DcId dc, Rng rng,
          const MdccConfig& config, std::vector<Replica*> replicas);
 
-  /// Starts a transaction.
+  /// Starts a transaction. Reads go to the local DC replica: committed
+  /// state, or under kReadCommitted the would-be state of a pending option.
   TxnId Begin();
-
-  /// Asynchronous read-committed read from the local DC replica. Records the
-  /// observed version as the transaction's read version for `key`.
-  void Read(TxnId txn, Key key, ReadCallback cb);
-
-  /// Buffers a physical write. Requires a prior Read of `key` in this
-  /// transaction (read-modify-write); otherwise kFailedPrecondition.
-  [[nodiscard]] Status Write(TxnId txn, Key key, Value value);
 
   /// Buffers a commutative delta (no prior read required).
   [[nodiscard]] Status Add(TxnId txn, Key key, Value delta);
-
-  /// Starts commit processing; `cb` fires exactly once with the outcome:
-  /// OK, Aborted (conflict), or Unavailable (timeout / partition).
-  /// Read-only transactions commit immediately.
-  void Commit(TxnId txn, CommitCallback cb);
-
-  /// Drops an unsubmitted transaction.
-  void AbortEarly(TxnId txn);
 
   /// Predictive early abort (PLANET, experiment F11): abandons a submitted,
   /// still-undecided transaction immediately instead of riding the Paxos
@@ -181,26 +155,6 @@ class Client : public Node {
   /// (predictor feed: reachability acks for masters that never fast-vote).
   void SetGlobalClassicListener(ClassicListener listener);
 
-  /// Attaches a history recorder: every decided transaction is logged with
-  /// its validated reads, writes, outcome and timestamps (correctness
-  /// oracles). Null (the default) records nothing and adds no work, no
-  /// events and no RNG draws, so uninstrumented runs stay bit-identical.
-  void SetHistoryRecorder(HistoryRecorder* recorder) { recorder_ = recorder; }
-
-  /// Sets the isolation mode for transactions this client begins from now
-  /// on. kSerializable (the default) leaves every code path untouched —
-  /// bit-identical to the pre-mode stack. kReadCommitted switches reads to
-  /// speculative visibility; kCausal adds the client-side session floor
-  /// (monotonic reads / read-your-writes across transactions).
-  void SetIsolation(IsolationLevel isolation) { isolation_ = isolation; }
-  IsolationLevel isolation() const { return isolation_; }
-
-  /// Attaches per-transaction commit-submission delays (predictive-replay
-  /// directives): Commit(txn) defers proposing by the mapped duration.
-  /// Null (the default) adds no lookup side effects; the map must outlive
-  /// the client. Unmatched transactions are unaffected.
-  void SetScheduleDelays(const ScheduleDelays* delays) { delays_ = delays; }
-
   /// This coordinator's view of a key group's mastership epoch.
   int group_epoch(int group) const {
     return group_epoch_[static_cast<size_t>(group)];
@@ -218,21 +172,8 @@ class Client : public Node {
   uint64_t classic_fallbacks() const { return classic_fallbacks_; }
 
  private:
-  /// What one read observed, with the metadata the history records.
-  struct ObservedRead {
-    Version version = 0;
-    bool speculative = false;
-    SimTime at = 0;
-  };
-
-  struct TxnState {
+  struct TxnState : TxnBuffer {
     TxnView view;
-    // Ordered: these are iterated when proposing and committing, and the
-    // iteration order decides message order on the wire — std::map keeps
-    // that order platform-independent (hash order is not).
-    std::map<Key, ObservedRead> read_versions;
-    std::map<Key, WriteOption> writes;
-    CommitCallback commit_cb;
     TxnObserver observer;
     EventId timeout_event = kInvalidEventId;
     int outstanding_replies = 0;
@@ -247,9 +188,14 @@ class Client : public Node {
   TxnState* Find(TxnId txn);
   OptionProgress* FindOption(TxnState& state, Key key);
 
-  /// Body of Commit once any schedule delay has elapsed: stamps the propose
-  /// time and proposes (or decides a read-only txn immediately).
-  void StartCommit(TxnState& state);
+  TxnBuffer* FindExecuting(TxnId txn) override;
+  void Forget(TxnId txn) override;
+  /// Committed-visibility read, or the speculative one under
+  /// kReadCommitted.
+  void SendRead(std::shared_ptr<PendingRead> read) override;
+  /// Stamps the propose time and proposes (or decides a read-only txn
+  /// immediately).
+  void StartCommit(TxnBuffer& txn) override;
   void ProposeFast(TxnState& state);
   void StartClassic(TxnState& state, OptionProgress& op);
   void OnVoteEvent(const VoteEvent& event);
@@ -269,19 +215,8 @@ class Client : public Node {
   void SetPhase(TxnState& state, TxnPhase phase);
   void MaybeGc(TxnId txn);
 
-  /// Builds the recorder entry for a decided transaction (recorder_ set).
-  void RecordDecision(const TxnState& state, bool commit,
-                      const Status& outcome);
-
   MdccConfig config_;
   std::vector<Replica*> replicas_;
-  HistoryRecorder* recorder_ = nullptr;
-  IsolationLevel isolation_ = IsolationLevel::kSerializable;
-  const ScheduleDelays* delays_ = nullptr;
-  /// kCausal only: highest view of each key this session has observed or
-  /// committed (monotonic reads / read-your-writes across transactions).
-  /// Ordered map for deterministic teardown; accessed per key only.
-  std::map<Key, RecordView> session_floor_;
   std::unordered_map<TxnId, TxnState> txns_;
   VoteListener global_vote_listener_;
   OptionListener global_option_listener_;
@@ -291,7 +226,6 @@ class Client : public Node {
   /// failover timeouts and by epoch hints in classic replies; never moves
   /// backward, so a revived old master is simply not used again.
   std::vector<int> group_epoch_;
-  uint64_t next_local_txn_ = 1;
   uint64_t committed_ = 0;
   uint64_t aborted_ = 0;
   uint64_t timed_out_ = 0;

@@ -2,16 +2,14 @@
 #ifndef PLANET_MDCC_CONFIG_H_
 #define PLANET_MDCC_CONFIG_H_
 
-#include "common/types.h"
+#include "txn/config.h"
 
 namespace planet {
 
 /// Protocol parameters. One replica per data center; records are fully
 /// replicated; each record has one master replica used by the classic path.
-struct MdccConfig {
-  /// Number of data centers / replicas (the paper evaluates 5).
-  int num_dcs = 5;
-
+/// The timeouts and master placement come from StackConfig.
+struct MdccConfig : StackConfig {
   /// Whether the coordinator falls back to the classic (master-serialized)
   /// path once the fast quorum becomes unreachable for an option.
   bool enable_classic = true;
@@ -20,24 +18,12 @@ struct MdccConfig {
   /// (measures the classic path in isolation; experiment F1).
   bool force_classic = false;
 
-  /// Overall transaction deadline: if votes do not resolve by then the
-  /// coordinator decides Abort with kUnavailable (covers partitions).
-  Duration txn_timeout = Seconds(30);
-
   /// How long the per-record master queues a classic proposal behind a
   /// conflicting pending option before rejecting it. The queue is what makes
   /// the classic path a serialization point under contention (as in MDCC);
   /// the timeout breaks cross-key waiting chains (distributed deadlock).
   /// 0 disables queueing (immediate reject on conflict).
   Duration classic_queue_timeout = Millis(500);
-
-  /// Master placement: -1 hashes masters across DCs (key % num_dcs);
-  /// otherwise all keys are mastered in the given DC.
-  int master_dc = -1;
-
-  /// Deadline for a read against the local replica. A crashed or partitioned
-  /// local replica otherwise hangs the transaction forever. 0 disables.
-  Duration read_timeout = Seconds(10);
 
   /// Master failover: if a classic proposal gets no reply within this
   /// timeout the coordinator bumps the key group's mastership epoch and
@@ -68,12 +54,6 @@ struct MdccConfig {
 
   /// Classic quorum size: majority.
   int ClassicQuorum() const { return num_dcs / 2 + 1; }
-
-  /// DC mastering the given key (epoch 0).
-  DcId MasterOf(Key key) const {
-    return master_dc >= 0 ? master_dc
-                          : static_cast<DcId>(key % static_cast<Key>(num_dcs));
-  }
 
   /// DC mastering the given key at a mastership epoch: epochs rotate the
   /// role deterministically through the DCs, so every party computes the

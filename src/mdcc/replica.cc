@@ -307,42 +307,7 @@ void Replica::ApplyDecided(const WriteOption& option) {
     store_.RemoveOption(option.txn, option.key);
     return;
   }
-  if (option.kind == OptionKind::kCommutative) {
-    store_.ApplyOrLearn(option);
-    return;
-  }
-  Version current = store_.Read(option.key).version;
-  if (current == option.read_version) {
-    store_.ApplyOrLearn(option);
-    DrainDeferred(option.key);
-  } else if (current < option.read_version) {
-    // An earlier committed transition has not arrived here yet; hold this one
-    // so replicas apply the unique per-key version chain in order.
-    deferred_[option.key][option.read_version] = option;
-  } else {
-    // current > read_version: already applied (duplicate delivery); the
-    // pending entry, if any, is obsolete.
-    store_.RemoveOption(option.txn, option.key);
-  }
-}
-
-void Replica::DrainDeferred(Key key) {
-  auto it = deferred_.find(key);
-  if (it == deferred_.end()) return;
-  auto& chain = it->second;
-  // Deferred chains hold only physical options (commutative ones apply
-  // immediately), and each application bumps the version by exactly one —
-  // so the version walks locally instead of re-reading the record per link.
-  Version current = store_.Read(key).version;
-  while (true) {
-    auto next = chain.find(current);
-    if (next == chain.end()) break;
-    WriteOption option = next->second;
-    chain.erase(next);
-    store_.ApplyOrLearn(option);
-    ++current;
-  }
-  if (chain.empty()) deferred_.erase(it);
+  store_.ApplyInOrder(option);
 }
 
 void Replica::DoRead(Key key, NodeId reply_to,
@@ -356,12 +321,6 @@ void Replica::DoReadSpeculative(  // planet-lint: allow(std-function-hot-path)
   (void)reply_to;
   SpeculativeView sv = store_.ReadSpeculative(key);
   reply(sv.view, sv.speculative);
-}
-
-size_t Replica::DeferredCount() const {
-  size_t total = 0;
-  for (const auto& [key, chain] : deferred_) total += chain.size();
-  return total;
 }
 
 void Replica::EnableRecovery(Duration period) {
@@ -494,7 +453,7 @@ void Replica::Crash() {
   }
   classic_queue_.clear();
   rounds_.clear();
-  deferred_.clear();
+  store_.DropDeferred();
   decided_.clear();
   pending_since_.clear();
   resolve_inflight_.clear();
@@ -520,17 +479,9 @@ void Replica::OnSyncState(const std::vector<SyncEntry>& state,
     if (epochs[g] > group_epoch_[g]) group_epoch_[g] = epochs[g];
   }
   for (const SyncEntry& entry : state) {
+    // Adoption also prunes and drains the key's deferred chain.
     if (!store_.AdoptRecord(entry)) continue;
     ++sync_records_adopted_;
-    // Transitions deferred behind versions we just jumped over are obsolete.
-    auto it = deferred_.find(entry.key);
-    if (it != deferred_.end()) {
-      Version adopted = store_.Read(entry.key).version;
-      std::erase_if(it->second,
-                    [&](const auto& e) { return e.first < adopted; });
-      if (it->second.empty()) deferred_.erase(it);
-    }
-    DrainDeferred(entry.key);
     DrainClassicQueue(entry.key);
   }
 }

@@ -16,7 +16,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -150,7 +149,7 @@ class Replica : public Node {
   void Restart();
 
   /// Number of physical transitions waiting for earlier versions (tests).
-  size_t DeferredCount() const;
+  size_t DeferredCount() const { return store_.DeferredCount(); }
 
   /// Experiment counters.
   uint64_t fast_accept_requests() const { return fast_accept_requests_; }
@@ -205,12 +204,9 @@ class Replica : public Node {
   /// changed (visibility processed).
   void DrainClassicQueue(Key key);
 
-  /// Applies a decided option respecting version order; defers physical
-  /// transitions whose predecessor has not been applied here yet.
+  /// Applies a committed option in version order (Store::ApplyInOrder),
+  /// unless the chaos_drop_learn mutation swallows it.
   void ApplyDecided(const WriteOption& option);
-
-  /// Applies any deferred transitions that became applicable for `key`.
-  void DrainDeferred(Key key);
 
   struct QueuedProposal {
     uint64_t qid = 0;
@@ -227,8 +223,6 @@ class Replica : public Node {
   std::unordered_map<Key, std::deque<QueuedProposal>> classic_queue_;
   uint64_t next_qid_ = 1;
   uint64_t next_round_id_ = 1;
-  /// key -> (read_version -> decided option) awaiting earlier versions.
-  std::unordered_map<Key, std::map<Version, WriteOption>> deferred_;
   struct Decision {
     SimTime when = 0;
     bool commit = false;

@@ -10,8 +10,6 @@
 #ifndef PLANET_STORAGE_OPTION_H_
 #define PLANET_STORAGE_OPTION_H_
 
-#include <string>
-
 #include "common/types.h"
 
 namespace planet {
@@ -31,8 +29,6 @@ struct WriteOption {
   Value new_value = 0;       ///< physical payload
   Value delta = 0;           ///< commutative payload
   int epoch = 0;             ///< mastership epoch (classic-path routing only)
-
-  std::string ToString() const;
 };
 
 }  // namespace planet

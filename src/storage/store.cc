@@ -1,23 +1,8 @@
 #include "storage/store.h"
 
 #include <algorithm>
-#include <sstream>
-
-#include "common/logging.h"
 
 namespace planet {
-
-std::string WriteOption::ToString() const {
-  std::ostringstream oss;
-  oss << "option{txn=" << txn << " key=" << key;
-  if (kind == OptionKind::kPhysical) {
-    oss << " v" << read_version << "->" << new_value;
-  } else {
-    oss << " delta=" << delta;
-  }
-  oss << "}";
-  return oss.str();
-}
 
 const Store::Record* Store::Find(Key key) const {
   auto it = records_.find(key);
@@ -63,13 +48,6 @@ void Store::SetBounds(Key key, ValueBounds bounds) {
   rec.has_bounds = true;
 }
 
-Status Store::CheckOption(const WriteOption& option) const {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  static const Record kEmpty{};
-  const Record* found = Find(option.key);
-  return CheckRecord(found != nullptr ? *found : kEmpty, option);
-}
-
 Status Store::CheckRecord(const Record& rec, const WriteOption& option) const {
   if (option.kind == OptionKind::kPhysical) {
     if (option.read_version != rec.version) {
@@ -108,23 +86,11 @@ Status Store::CheckRecord(const Record& rec, const WriteOption& option) const {
   return Status::OK();
 }
 
-void Store::AcceptOption(const WriteOption& option) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  Record& rec = FindOrCreate(option.key);
-  Status st = CheckRecord(rec, option);
-  PLANET_CHECK_MSG(st.ok(), option.ToString() << " -> " << st.ToString());
-  AcceptIntoRecord(rec, option);
-}
-
 Status Store::TryAcceptOption(const WriteOption& option) {
   PLANET_DCHECK_OWNED(thread_checker_);
   Record& rec = FindOrCreate(option.key);
   Status st = CheckRecord(rec, option);
-  if (st.ok()) AcceptIntoRecord(rec, option);
-  return st;
-}
-
-void Store::AcceptIntoRecord(Record& rec, const WriteOption& option) {
+  if (!st.ok()) return st;
   // Idempotent per (txn, key): replace any previous pending entry.
   std::erase_if(rec.pending, [&](const WriteOption& p) {
     return p.txn == option.txn;
@@ -132,6 +98,7 @@ void Store::AcceptIntoRecord(Record& rec, const WriteOption& option) {
   if (rec.pending.capacity() == 0) rec.pending.reserve(2);
   rec.pending.push_back(option);
   ++accepts_;
+  return st;
 }
 
 void Store::RemoveOption(TxnId txn, Key key) {
@@ -161,39 +128,62 @@ void Store::ApplyPayload(Record& rec, const WriteOption& option) {
   wal_.push_back(WalEntry{option.txn, option.key, rec.version, rec.value, {}});
 }
 
-bool Store::ApplyOption(TxnId txn, Key key) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  auto it = records_.find(key);
-  if (it == records_.end()) return false;
-  Record& rec = it->second;
-  auto pit = std::find_if(
-      rec.pending.begin(), rec.pending.end(),
-      [&](const WriteOption& p) { return p.txn == txn; });
-  if (pit == rec.pending.end()) return false;
-  WriteOption option = *pit;
-  rec.pending.erase(pit);
-  ApplyPayload(rec, option);
-  return true;
-}
-
-void Store::LearnOption(const WriteOption& option) {
-  PLANET_DCHECK_OWNED(thread_checker_);
-  Record& rec = FindOrCreate(option.key);
-  std::erase_if(rec.pending, [&](const WriteOption& p) {
-    return p.txn == option.txn;
-  });
-  ApplyPayload(rec, option);
-}
-
 void Store::ApplyOrLearn(const WriteOption& option) {
   PLANET_DCHECK_OWNED(thread_checker_);
   Record& rec = FindOrCreate(option.key);
-  // Pending entry (if any) is consumed either way; whether it existed only
-  // decides nothing here — ApplyPayload handles both transitions.
+  // The pending entry (if any) is consumed either way: applying an accepted
+  // option and learning one this replica never accepted are the same
+  // transition.
   std::erase_if(rec.pending, [&](const WriteOption& p) {
     return p.txn == option.txn;
   });
   ApplyPayload(rec, option);
+}
+
+void Store::ApplyInOrder(const WriteOption& option) {
+  PLANET_DCHECK_OWNED(thread_checker_);
+  if (option.kind == OptionKind::kCommutative) {
+    ApplyOrLearn(option);
+    return;
+  }
+  Version current = Read(option.key).version;
+  if (current == option.read_version) {
+    ApplyOrLearn(option);
+    DrainDeferred(option.key);
+  } else if (current < option.read_version) {
+    // An earlier committed transition has not arrived here yet; hold this
+    // one so replicas apply the unique per-key version chain in order.
+    deferred_[option.key][option.read_version] = option;
+  } else {
+    // Already applied (duplicate delivery); the pending entry, if any, is
+    // obsolete.
+    RemoveOption(option.txn, option.key);
+  }
+}
+
+void Store::DrainDeferred(Key key) {
+  auto it = deferred_.find(key);
+  if (it == deferred_.end()) return;
+  auto& chain = it->second;
+  // Deferred chains hold only physical options (commutative ones apply
+  // immediately), and each application bumps the version by exactly one —
+  // so the version walks locally instead of re-reading the record per link.
+  Version current = Read(key).version;
+  while (true) {
+    auto next = chain.find(current);
+    if (next == chain.end()) break;
+    WriteOption option = next->second;
+    chain.erase(next);
+    ApplyOrLearn(option);
+    ++current;
+  }
+  if (chain.empty()) deferred_.erase(it);
+}
+
+size_t Store::DeferredCount() const {
+  size_t total = 0;
+  for (const auto& [key, chain] : deferred_) total += chain.size();
+  return total;
 }
 
 size_t Store::TotalPending() const {
@@ -236,6 +226,14 @@ bool Store::AdoptRecord(const SyncEntry& entry) {
   rec.comm_txns = entry.comm_txns;
   wal_.push_back(WalEntry{kInvalidTxnId, entry.key, rec.version, rec.value,
                           rec.comm_txns});
+  // Transitions deferred behind versions just jumped over are obsolete.
+  auto it = deferred_.find(entry.key);
+  if (it != deferred_.end()) {
+    std::erase_if(it->second,
+                  [&](const auto& e) { return e.first < rec.version; });
+    if (it->second.empty()) deferred_.erase(it);
+  }
+  DrainDeferred(entry.key);
   return true;
 }
 

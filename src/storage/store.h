@@ -3,8 +3,11 @@
 // Every key logically exists with (version 0, value 0); records materialize
 // on first touch. A record carries its committed state plus the list of
 // pending (accepted but not yet visible) options, which is exactly the
-// acceptor state of the per-record Paxos instance. A write-ahead log of
-// applied transitions supports the atomicity audits in the test suite.
+// acceptor state of the per-record Paxos instance. Decided physical
+// transitions that arrive ahead of their predecessor wait in a per-key
+// deferred chain, so every replica applies the same version chain. A
+// write-ahead log of applied transitions supports the atomicity audits in
+// the test suite.
 #ifndef PLANET_STORAGE_STORE_H_
 #define PLANET_STORAGE_STORE_H_
 
@@ -99,41 +102,39 @@ class Store {
   /// Sets demarcation bounds enforced on commutative options for `key`.
   void SetBounds(Key key, ValueBounds bounds);
 
-  /// Would `option` be accepted right now? OK, or the rejection reason:
+  /// The acceptor's one entry point: accepts `option` (appends it to the
+  /// key's pending list) iff it is compatible with the record right now,
+  /// and returns OK or the rejection reason:
   ///  * kAborted          — stale read version (physical) / bounds violated
   ///  * kFailedPrecondition — conflicts with a pending option of another txn
-  [[nodiscard]] Status CheckOption(const WriteOption& option) const;
-
-  /// Accepts `option` (appends to the pending list). Idempotent per
-  /// (txn, key): re-accepting replaces the previous pending entry.
-  /// PLANET_CHECKs that CheckOption would pass.
-  void AcceptOption(const WriteOption& option);
-
-  /// CheckOption + AcceptOption in one record lookup (the acceptor's vote
-  /// path does this per message): accepts iff the check passes and returns
-  /// the check's status either way.
+  /// Idempotent per (txn, key): re-accepting replaces the previous entry.
   [[nodiscard]] Status TryAcceptOption(const WriteOption& option);
 
   /// Drops the pending option of (txn, key) if present (abort / learn-other).
   void RemoveOption(TxnId txn, Key key);
 
-  /// Makes the pending option of (txn, key) visible: bumps the version,
-  /// applies the payload, removes it from pending, logs to the WAL.
-  /// Returns false if no such pending option exists (e.g. this replica never
-  /// accepted it); callers treat that as "learned decision without having
-  /// voted" and apply the transition directly via LearnOption.
-  bool ApplyOption(TxnId txn, Key key);
-
-  /// Applies a decided option this replica never accepted (catch-up path).
-  /// Physical payloads overwrite; commutative payloads add. Idempotent for
-  /// commutative options: a delta the record already embeds (applied
-  /// directly, or inherited through AdoptRecord) is not applied twice.
-  void LearnOption(const WriteOption& option);
-
-  /// ApplyOption if (txn, key) is pending, LearnOption otherwise — the
-  /// visibility/decide path — in one record lookup instead of two.
-  /// Equivalent to `if (!ApplyOption(o.txn, o.key)) LearnOption(o);`.
+  /// Makes a decided option visible, whether or not this replica accepted
+  /// it: drops its pending entry if any, applies the payload (physical
+  /// overwrites and bumps the version; commutative adds) and logs to the
+  /// WAL. Idempotent for commutative options: a delta the record already
+  /// embeds (applied directly, or inherited through AdoptRecord) is not
+  /// applied twice. Applies unconditionally: ApplyInOrder is the
+  /// version-checked path.
   void ApplyOrLearn(const WriteOption& option);
+
+  /// The learner's apply: ApplyOrLearn in version order. A commutative
+  /// option, or the physical transition from the key's current version,
+  /// applies now, followed by any deferred successors it unblocks. A
+  /// physical transition from a later version waits in the key's deferred
+  /// chain; one from an earlier version is a duplicate and only drops its
+  /// pending entry.
+  void ApplyInOrder(const WriteOption& option);
+
+  /// Physical transitions waiting in deferred chains.
+  size_t DeferredCount() const;
+
+  /// Drops every deferred chain (volatile learner state, lost on a crash).
+  void DropDeferred() { deferred_.clear(); }
 
   /// Number of pending options across all records.
   size_t TotalPending() const;
@@ -149,7 +150,9 @@ class Store {
 
   /// Adopts a peer's committed record state if it is fresher than ours:
   /// higher version, or equal version with more commutative deltas applied.
-  /// Returns true if the local state changed. Pending options are untouched.
+  /// Returns true if the local state changed. Pending options are untouched;
+  /// deferred transitions the adopted version jumped over are dropped, and
+  /// the rest of the key's chain applies as far as it now connects.
   bool AdoptRecord(const SyncEntry& entry);
 
   /// Crash recovery: rebuilds committed state by replaying the WAL (the
@@ -197,14 +200,17 @@ class Store {
 
   const Record* Find(Key key) const;
   Record& FindOrCreate(Key key);
-  /// CheckOption against an already-located record (no map walk).
+  /// TryAcceptOption's compatibility check against a located record.
   [[nodiscard]] Status CheckRecord(const Record& rec,
                                    const WriteOption& option) const;
-  void AcceptIntoRecord(Record& rec, const WriteOption& option);
   void ApplyPayload(Record& rec, const WriteOption& option);
+  /// Applies the deferred transitions of `key` that now connect.
+  void DrainDeferred(Key key);
 
   ThreadChecker thread_checker_;
   std::unordered_map<Key, Record> records_;
+  /// key -> (read_version -> decided option) awaiting earlier versions.
+  std::unordered_map<Key, std::map<Version, WriteOption>> deferred_;
   std::vector<WalEntry> wal_;
   uint64_t accepts_ = 0;
   mutable uint64_t rejects_stale_ = 0;

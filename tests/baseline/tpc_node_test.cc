@@ -115,6 +115,17 @@ TEST_F(TpcNodeFixture, ReplicationAppliesInVersionOrder) {
   EXPECT_EQ(node->store().Read(3).value, 20);
 }
 
+TEST_F(TpcNodeFixture, CrashDropsDeferredReplication) {
+  TpcNode* node = nodes_[1].get();
+  node->HandleReplicate(Physical(2, 3, 1, 20), [] {});
+  ASSERT_EQ(node->store().DeferredCount(), 1u);
+  node->Crash();
+  EXPECT_EQ(node->store().DeferredCount(), 0u);
+  node->Restart();
+  node->HandleReplicate(Physical(1, 3, 0, 10), [] {});
+  EXPECT_EQ(node->store().Read(3).version, 1u) << "the lost link stays lost";
+}
+
 TEST_F(TpcNodeFixture, DuplicateReplicationIgnored) {
   TpcNode* node = nodes_[1].get();
   node->HandleReplicate(Physical(1, 3, 0, 10), [] {});

@@ -59,6 +59,43 @@ TEST(Tpc, WriteRequiresRead) {
   EXPECT_EQ(client->Write(txn, 5, 1).code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(Tpc, ReadYourWritesPhysical) {
+  TpcCluster cluster(BaseOptions());
+  TpcClient* client = cluster.client(0);
+  Value observed = -1;
+  TxnId txn = client->Begin();
+  client->Read(txn, 8, [&](Status, RecordView view) {
+    ASSERT_TRUE(client->Write(txn, 8, view.value + 41).ok());
+    client->Read(txn, 8, [&](Status, RecordView again) {
+      observed = again.value;  // must see the buffered write
+    });
+  });
+  cluster.Drain();
+  EXPECT_EQ(observed, 41);
+  // The buffered-read shortcut sends no extra messages (2 for the first
+  // remote read only).
+  EXPECT_EQ(cluster.net().messages_sent(), 2u);
+}
+
+TEST(Tpc, AbortEarlyAfterCommitIsNoOp) {
+  TpcCluster cluster(BaseOptions());
+  TpcClient* client = cluster.client(0);
+  Status outcome = Status::Internal("unset");
+  TxnId txn = client->Begin();
+  client->Read(txn, 42, [&](Status, RecordView view) {
+    ASSERT_TRUE(client->Write(txn, 42, view.value + 1).ok());
+    client->Commit(txn, [&](Status s) { outcome = s; });
+    client->AbortEarly(txn);  // already preparing: must not drop it
+  });
+  cluster.Drain();
+  EXPECT_TRUE(outcome.ok()) << outcome.ToString();
+  EXPECT_EQ(client->committed(), 1u);
+  EXPECT_TRUE(cluster.ReplicasConverged());
+  for (DcId dc = 0; dc < 5; ++dc) {
+    EXPECT_EQ(cluster.node(dc)->LockedKeys(), 0u) << "dc " << dc;
+  }
+}
+
 TEST(Tpc, ConflictingWritesOneWins) {
   TpcCluster cluster(BaseOptions());
   TpcClient* a = cluster.client(0);

@@ -1,11 +1,10 @@
 // Tests of the small shared utilities: time formatting, logging plumbing,
-// option rendering, and config quorum arithmetic.
+// and config quorum arithmetic.
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "common/types.h"
 #include "mdcc/config.h"
-#include "storage/option.h"
 
 namespace planet {
 namespace {
@@ -43,26 +42,6 @@ TEST(Logging, CheckPassesOnTrue) {
 TEST(Logging, CheckAbortsOnFalse) {
   EXPECT_DEATH(PLANET_CHECK(false), "invariant violated");
   EXPECT_DEATH(PLANET_CHECK_MSG(2 < 1, "ctx " << 7), "ctx 7");
-}
-
-TEST(Option, ToStringRendersBothKinds) {
-  WriteOption physical;
-  physical.txn = 12;
-  physical.key = 34;
-  physical.kind = OptionKind::kPhysical;
-  physical.read_version = 2;
-  physical.new_value = 56;
-  std::string p = physical.ToString();
-  EXPECT_NE(p.find("txn=12"), std::string::npos);
-  EXPECT_NE(p.find("key=34"), std::string::npos);
-  EXPECT_NE(p.find("v2->56"), std::string::npos);
-
-  WriteOption delta;
-  delta.txn = 9;
-  delta.key = 8;
-  delta.kind = OptionKind::kCommutative;
-  delta.delta = -3;
-  EXPECT_NE(delta.ToString().find("delta=-3"), std::string::npos);
 }
 
 TEST(MdccConfig, QuorumArithmetic) {

@@ -38,14 +38,14 @@ TEST(CrashPointSweep, StoreReplaysEveryWalPrefixExactly) {
       option.kind = OptionKind::kPhysical;
       option.read_version = cur.version;
       option.new_value = rng.UniformInt(1, 100);
-      store.LearnOption(option);
+      store.ApplyOrLearn(option);
     } else {
       WriteOption option;
       option.txn = static_cast<TxnId>(store.wal().size());
       option.key = key;
       option.kind = OptionKind::kCommutative;
       option.delta = rng.UniformInt(1, 5);
-      store.LearnOption(option);
+      store.ApplyOrLearn(option);
     }
     ASSERT_EQ(store.wal().size(), truth.size())
         << "each operation must append exactly one WAL entry";

@@ -52,8 +52,10 @@ TEST(Coordinator, ClassicFallbackAfterTwoRejects) {
   // master (dc 5 % 5 = 0) must NOT be one of them, and the blocker must be
   // resolvable so the queued classic proposal eventually wins.
   Key key = 5;  // master: dc 0
-  cluster.replica(1)->store().AcceptOption(Blocker(999, key));
-  cluster.replica(2)->store().AcceptOption(Blocker(999, key));
+  ASSERT_TRUE(
+      cluster.replica(1)->store().TryAcceptOption(Blocker(999, key)).ok());
+  ASSERT_TRUE(
+      cluster.replica(2)->store().TryAcceptOption(Blocker(999, key)).ok());
 
   Status outcome = Status::Internal("unset");
   TxnId txn = client->Begin();
@@ -78,8 +80,10 @@ TEST(Coordinator, NoClassicWhenDisabled) {
   Cluster cluster(options);
   Client* client = cluster.client(0);
   Key key = 5;
-  cluster.replica(1)->store().AcceptOption(Blocker(999, key));
-  cluster.replica(2)->store().AcceptOption(Blocker(999, key));
+  ASSERT_TRUE(
+      cluster.replica(1)->store().TryAcceptOption(Blocker(999, key)).ok());
+  ASSERT_TRUE(
+      cluster.replica(2)->store().TryAcceptOption(Blocker(999, key)).ok());
   Status outcome = Status::Internal("unset");
   TxnId txn = client->Begin();
   client->Read(txn, key, [&](Status, RecordView v) {
@@ -167,6 +171,22 @@ TEST(Coordinator, AbortEarlyDiscards) {
   EXPECT_EQ(client->View(txn), nullptr);
   EXPECT_EQ(client->committed(), 0u);
   EXPECT_EQ(client->aborted(), 0u);
+}
+
+TEST(Coordinator, AbortEarlyAfterCommitIsNoOp) {
+  Cluster cluster(Opts());
+  Client* client = cluster.client(0);
+  Status outcome = Status::Internal("unset");
+  TxnId txn = client->Begin();
+  client->Read(txn, 3, [&](Status, RecordView v) {
+    ASSERT_TRUE(client->Write(txn, 3, v.value + 1).ok());
+    client->Commit(txn, [&](Status s) { outcome = s; });
+    client->AbortEarly(txn);  // already proposing: must not drop it
+  });
+  cluster.Drain();
+  EXPECT_TRUE(outcome.ok()) << outcome.ToString();
+  EXPECT_EQ(client->committed(), 1u);
+  EXPECT_TRUE(cluster.ReplicasConverged());
 }
 
 TEST(Coordinator, TimeoutYieldsUnavailableAndCleansUp) {

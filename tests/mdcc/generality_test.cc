@@ -63,8 +63,8 @@ TEST(PlanetGenerality, ClassicFallbackStageSurfaces) {
   blocker.kind = OptionKind::kPhysical;
   blocker.read_version = 0;
   blocker.new_value = 1;
-  cluster.replica(1)->store().AcceptOption(blocker);
-  cluster.replica(2)->store().AcceptOption(blocker);
+  ASSERT_TRUE(cluster.replica(1)->store().TryAcceptOption(blocker).ok());
+  ASSERT_TRUE(cluster.replica(2)->store().TryAcceptOption(blocker).ok());
   cluster.sim().ScheduleAt(Millis(400), [&] {
     cluster.replica(1)->HandleVisibility(999, false, {blocker});
     cluster.replica(2)->HandleVisibility(999, false, {blocker});

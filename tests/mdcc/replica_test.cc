@@ -79,6 +79,15 @@ TEST_F(ReplicaFixture, VisibilityOutOfOrderDefersThenApplies) {
   EXPECT_EQ(replica(0)->DeferredCount(), 0u);
 }
 
+TEST_F(ReplicaFixture, CrashDropsDeferredChains) {
+  replica(0)->HandleVisibility(2, true, {Physical(2, 7, 1, 20)});
+  ASSERT_EQ(replica(0)->DeferredCount(), 1u);
+  replica(0)->Crash();
+  EXPECT_EQ(replica(0)->DeferredCount(), 0u) << "deferred chains are volatile";
+  replica(0)->Restart();
+  EXPECT_EQ(replica(0)->DeferredCount(), 0u);
+}
+
 TEST_F(ReplicaFixture, DuplicateVisibilityIsIdempotent) {
   WriteOption o = Physical(1, 7, 0, 42);
   replica(0)->HandleVisibility(1, true, {o});
@@ -185,8 +194,8 @@ TEST_F(ReplicaFixture, RecoveryResolvesStrandedPending) {
 }
 
 TEST_F(ReplicaFixture, SyncAdoptsFresherPhysicalState) {
-  replica(1)->store().LearnOption(Physical(1, 7, 0, 10));
-  replica(1)->store().LearnOption(Physical(2, 7, 1, 20));
+  replica(1)->store().ApplyOrLearn(Physical(1, 7, 0, 10));
+  replica(1)->store().ApplyOrLearn(Physical(2, 7, 1, 20));
   replica(0)->RequestSyncAll();
   sim_.Run();
   EXPECT_EQ(replica(0)->store().Read(7).version, 2u);
@@ -195,9 +204,9 @@ TEST_F(ReplicaFixture, SyncAdoptsFresherPhysicalState) {
 }
 
 TEST_F(ReplicaFixture, SyncDoesNotRegress) {
-  replica(0)->store().LearnOption(Physical(1, 7, 0, 10));
-  replica(0)->store().LearnOption(Physical(2, 7, 1, 20));
-  replica(1)->store().LearnOption(Physical(1, 7, 0, 10));
+  replica(0)->store().ApplyOrLearn(Physical(1, 7, 0, 10));
+  replica(0)->store().ApplyOrLearn(Physical(2, 7, 1, 20));
+  replica(1)->store().ApplyOrLearn(Physical(1, 7, 0, 10));
   replica(0)->RequestSyncAll();  // peers are older or equal
   sim_.Run();
   EXPECT_EQ(replica(0)->store().Read(7).version, 2u);
@@ -210,9 +219,9 @@ TEST_F(ReplicaFixture, SyncClearsObsoleteDeferred) {
   WriteOption third = Physical(3, 7, 2, 30);
   replica(0)->HandleVisibility(3, true, {third});
   EXPECT_EQ(replica(0)->DeferredCount(), 1u);
-  replica(1)->store().LearnOption(Physical(1, 7, 0, 10));
-  replica(1)->store().LearnOption(Physical(2, 7, 1, 20));
-  replica(1)->store().LearnOption(third);
+  replica(1)->store().ApplyOrLearn(Physical(1, 7, 0, 10));
+  replica(1)->store().ApplyOrLearn(Physical(2, 7, 1, 20));
+  replica(1)->store().ApplyOrLearn(third);
   replica(0)->RequestSyncAll();
   sim_.Run();
   EXPECT_EQ(replica(0)->DeferredCount(), 0u);
@@ -229,9 +238,9 @@ TEST_F(ReplicaFixture, SyncAdoptsCounterWithMoreDeltas) {
   WriteOption d2 = d1;
   d2.txn = 2;
   d2.delta = 3;
-  replica(0)->store().LearnOption(d1);  // value 5, 1 delta
-  replica(1)->store().LearnOption(d1);
-  replica(1)->store().LearnOption(d2);  // value 8, 2 deltas
+  replica(0)->store().ApplyOrLearn(d1);  // value 5, 1 delta
+  replica(1)->store().ApplyOrLearn(d1);
+  replica(1)->store().ApplyOrLearn(d2);  // value 8, 2 deltas
   replica(0)->RequestSyncAll();
   sim_.Run();
   EXPECT_EQ(replica(0)->store().Read(9).value, 8);

@@ -41,11 +41,10 @@ TEST(Store, SeedValueBumpsVersion) {
 TEST(Store, AcceptApplyPhysical) {
   Store store;
   WriteOption o = Physical(10, 1, 0, 42);
-  ASSERT_TRUE(store.CheckOption(o).ok());
-  store.AcceptOption(o);
+  ASSERT_TRUE(store.TryAcceptOption(o).ok());
   EXPECT_EQ(store.TotalPending(), 1u);
   EXPECT_EQ(store.Read(1).value, 0) << "pending is not visible";
-  ASSERT_TRUE(store.ApplyOption(10, 1));
+  store.ApplyOrLearn(o);
   EXPECT_EQ(store.Read(1).version, 1u);
   EXPECT_EQ(store.Read(1).value, 42);
   EXPECT_EQ(store.TotalPending(), 0u);
@@ -54,88 +53,87 @@ TEST(Store, AcceptApplyPhysical) {
 TEST(Store, StaleReadVersionRejected) {
   Store store;
   store.SeedValue(1, 5);  // version 1
-  Status st = store.CheckOption(Physical(10, 1, 0, 42));
+  Status st = store.TryAcceptOption(Physical(10, 1, 0, 42));
   EXPECT_TRUE(st.IsAborted());
   EXPECT_EQ(store.rejects_stale(), 1u);
+  EXPECT_EQ(store.TotalPending(), 0u) << "a rejected option is not accepted";
 }
 
 TEST(Store, PendingConflictRejected) {
   Store store;
-  store.AcceptOption(Physical(10, 1, 0, 42));
-  Status st = store.CheckOption(Physical(11, 1, 0, 43));
+  ASSERT_TRUE(store.TryAcceptOption(Physical(10, 1, 0, 42)).ok());
+  Status st = store.TryAcceptOption(Physical(11, 1, 0, 43));
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(store.rejects_conflict(), 1u);
+  EXPECT_EQ(store.TotalPending(), 1u);
 }
 
 TEST(Store, SameTxnReacceptIsIdempotent) {
   Store store;
-  store.AcceptOption(Physical(10, 1, 0, 42));
-  store.AcceptOption(Physical(10, 1, 0, 99));  // replaces
-  EXPECT_EQ(store.TotalPending(), 1u);
-  ASSERT_TRUE(store.ApplyOption(10, 1));
+  ASSERT_TRUE(store.TryAcceptOption(Physical(10, 1, 0, 42)).ok());
+  ASSERT_TRUE(store.TryAcceptOption(Physical(10, 1, 0, 99)).ok());  // replaces
+  ASSERT_EQ(store.TotalPending(), 1u);
+  EXPECT_EQ(store.PendingFor(1)[0].new_value, 99);
+  store.ApplyOrLearn(Physical(10, 1, 0, 99));
   EXPECT_EQ(store.Read(1).value, 99);
+  EXPECT_EQ(store.TotalPending(), 0u);
 }
 
 TEST(Store, RemoveOptionClearsPending) {
   Store store;
-  store.AcceptOption(Physical(10, 1, 0, 42));
+  ASSERT_TRUE(store.TryAcceptOption(Physical(10, 1, 0, 42)).ok());
   store.RemoveOption(10, 1);
   EXPECT_EQ(store.TotalPending(), 0u);
-  EXPECT_FALSE(store.ApplyOption(10, 1));
+  EXPECT_EQ(store.Read(1).version, 0u);
   // Now another txn can take the record.
-  EXPECT_TRUE(store.CheckOption(Physical(11, 1, 0, 43)).ok());
-}
-
-TEST(Store, ApplyWithoutPendingReturnsFalse) {
-  Store store;
-  EXPECT_FALSE(store.ApplyOption(99, 1));
+  EXPECT_TRUE(store.TryAcceptOption(Physical(11, 1, 0, 43)).ok());
 }
 
 TEST(Store, LearnOptionAppliesDirectly) {
   Store store;
-  store.LearnOption(Physical(10, 1, 0, 42));
+  store.ApplyOrLearn(Physical(10, 1, 0, 42));  // never accepted here
   EXPECT_EQ(store.Read(1).version, 1u);
   EXPECT_EQ(store.Read(1).value, 42);
 }
 
 TEST(Store, LearnErasesMatchingPending) {
   Store store;
-  store.AcceptOption(Physical(10, 1, 0, 42));
-  store.LearnOption(Physical(10, 1, 0, 42));
+  ASSERT_TRUE(store.TryAcceptOption(Physical(10, 1, 0, 42)).ok());
+  store.ApplyOrLearn(Physical(10, 1, 0, 42));
   EXPECT_EQ(store.TotalPending(), 0u);
   EXPECT_EQ(store.Read(1).version, 1u);
 }
 
 TEST(Store, CommutativeDoesNotBumpVersion) {
   Store store;
-  store.AcceptOption(Commutative(10, 1, 5));
-  ASSERT_TRUE(store.ApplyOption(10, 1));
+  ASSERT_TRUE(store.TryAcceptOption(Commutative(10, 1, 5)).ok());
+  store.ApplyOrLearn(Commutative(10, 1, 5));
   EXPECT_EQ(store.Read(1).value, 5);
   EXPECT_EQ(store.Read(1).version, 0u);
 }
 
 TEST(Store, CommutativeOptionsCoexist) {
   Store store;
-  store.AcceptOption(Commutative(10, 1, 5));
-  EXPECT_TRUE(store.CheckOption(Commutative(11, 1, 3)).ok());
-  store.AcceptOption(Commutative(11, 1, 3));
+  ASSERT_TRUE(store.TryAcceptOption(Commutative(10, 1, 5)).ok());
+  EXPECT_TRUE(store.TryAcceptOption(Commutative(11, 1, 3)).ok());
   EXPECT_EQ(store.TotalPending(), 2u);
-  ASSERT_TRUE(store.ApplyOption(10, 1));
-  ASSERT_TRUE(store.ApplyOption(11, 1));
+  store.ApplyOrLearn(Commutative(10, 1, 5));
+  store.ApplyOrLearn(Commutative(11, 1, 3));
+  EXPECT_EQ(store.TotalPending(), 0u);
   EXPECT_EQ(store.Read(1).value, 8);
 }
 
 TEST(Store, CommutativeConflictsWithPendingPhysical) {
   Store store;
-  store.AcceptOption(Physical(10, 1, 0, 42));
-  EXPECT_EQ(store.CheckOption(Commutative(11, 1, 3)).code(),
+  ASSERT_TRUE(store.TryAcceptOption(Physical(10, 1, 0, 42)).ok());
+  EXPECT_EQ(store.TryAcceptOption(Commutative(11, 1, 3)).code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(Store, PhysicalConflictsWithPendingCommutative) {
   Store store;
-  store.AcceptOption(Commutative(10, 1, 3));
-  EXPECT_EQ(store.CheckOption(Physical(11, 1, 0, 42)).code(),
+  ASSERT_TRUE(store.TryAcceptOption(Commutative(10, 1, 3)).ok());
+  EXPECT_EQ(store.TryAcceptOption(Physical(11, 1, 0, 42)).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -145,27 +143,27 @@ TEST(Store, DemarcationLowerBound) {
   store.SetBounds(1, ValueBounds{0, 1000});
   // Two pending -6 deltas would allow the value to go to -2: the second must
   // be rejected even though each alone is fine.
-  store.AcceptOption(Commutative(10, 1, -6));
-  Status st = store.CheckOption(Commutative(11, 1, -6));
+  ASSERT_TRUE(store.TryAcceptOption(Commutative(10, 1, -6)).ok());
+  Status st = store.TryAcceptOption(Commutative(11, 1, -6));
   EXPECT_TRUE(st.IsAborted());
   EXPECT_EQ(store.rejects_bounds(), 1u);
   // A smaller decrement still fits.
-  EXPECT_TRUE(store.CheckOption(Commutative(11, 1, -4)).ok());
+  EXPECT_TRUE(store.TryAcceptOption(Commutative(11, 1, -4)).ok());
 }
 
 TEST(Store, DemarcationUpperBound) {
   Store store;
   store.SetBounds(1, ValueBounds{0, 10});
-  store.AcceptOption(Commutative(10, 1, 6));
-  EXPECT_TRUE(store.CheckOption(Commutative(11, 1, 6)).IsAborted());
-  EXPECT_TRUE(store.CheckOption(Commutative(11, 1, 4)).ok());
+  ASSERT_TRUE(store.TryAcceptOption(Commutative(10, 1, 6)).ok());
+  EXPECT_TRUE(store.TryAcceptOption(Commutative(11, 1, 6)).IsAborted());
+  EXPECT_TRUE(store.TryAcceptOption(Commutative(11, 1, 4)).ok());
 }
 
 TEST(Store, WalRecordsTransitions) {
   Store store;
-  store.AcceptOption(Physical(10, 1, 0, 42));
-  store.ApplyOption(10, 1);
-  store.LearnOption(Physical(11, 2, 0, 7));
+  ASSERT_TRUE(store.TryAcceptOption(Physical(10, 1, 0, 42)).ok());
+  store.ApplyOrLearn(Physical(10, 1, 0, 42));
+  store.ApplyOrLearn(Physical(11, 2, 0, 7));
   ASSERT_EQ(store.wal().size(), 2u);
   EXPECT_EQ(store.wal()[0].txn, 10u);
   EXPECT_EQ(store.wal()[0].new_value, 42);
@@ -184,8 +182,8 @@ TEST(Store, SnapshotListsMaterializedRecords) {
 
 TEST(Store, PendingForReturnsOptions) {
   Store store;
-  store.AcceptOption(Commutative(10, 1, 5));
-  store.AcceptOption(Commutative(11, 1, 2));
+  ASSERT_TRUE(store.TryAcceptOption(Commutative(10, 1, 5)).ok());
+  ASSERT_TRUE(store.TryAcceptOption(Commutative(11, 1, 2)).ok());
   auto pending = store.PendingFor(1);
   ASSERT_EQ(pending.size(), 2u);
   EXPECT_EQ(store.PendingFor(999).size(), 0u);
@@ -194,7 +192,7 @@ TEST(Store, PendingForReturnsOptions) {
 TEST(Store, ExportStateRoundTrips) {
   Store a;
   a.SeedValue(1, 10);
-  a.LearnOption(Commutative(5, 2, 7));
+  a.ApplyOrLearn(Commutative(5, 2, 7));
   auto state = a.ExportState();
   ASSERT_EQ(state.size(), 2u);
   Store b;
@@ -214,7 +212,7 @@ TEST(Store, AdoptRecordRefusesStaleState) {
 
 TEST(Store, AdoptRecordUsesDeltaCountAtEqualVersion) {
   Store store;
-  store.LearnOption(Commutative(1, 9, 5));  // value 5, 1 delta, version 0
+  store.ApplyOrLearn(Commutative(1, 9, 5));  // value 5, 1 delta, version 0
   // Same version, fewer deltas: refused.
   EXPECT_FALSE(store.AdoptRecord(SyncEntry{9, 0, 0, 0}));
   // Same version, more deltas: adopted.
@@ -231,7 +229,7 @@ TEST(Store, AdoptRecordUsesDeltaCountAtEqualVersion) {
 TEST(Store, LearnAfterAdoptionOfSameDeltaIsIdempotent) {
   Store peer;
   WriteOption t = Commutative(42, 7, 5);
-  peer.LearnOption(t);  // peer applied T: value 5, one delta
+  peer.ApplyOrLearn(t);  // peer applied T: value 5, one delta
 
   Store restarted;
   for (const auto& entry : peer.ExportState()) {
@@ -239,32 +237,32 @@ TEST(Store, LearnAfterAdoptionOfSameDeltaIsIdempotent) {
   }
   EXPECT_EQ(restarted.Read(7).value, 5);
 
-  restarted.LearnOption(t);  // T's visibility arrives after the sync
+  restarted.ApplyOrLearn(t);  // T's visibility arrives after the sync
   EXPECT_EQ(restarted.Read(7).value, 5) << "delta applied twice";
 
   // The idempotence must survive a crash: the adoption WAL entry carries
   // the embedded delta set.
   restarted.RecoverFromWal();
-  restarted.LearnOption(t);
+  restarted.ApplyOrLearn(t);
   EXPECT_EQ(restarted.Read(7).value, 5) << "delta re-applied after replay";
 }
 
 TEST(Store, DirectReapplicationOfSameDeltaIsIdempotent) {
   Store store;
   WriteOption t = Commutative(42, 7, 5);
-  store.LearnOption(t);
-  store.LearnOption(t);  // duplicate visibility delivery
+  store.ApplyOrLearn(t);
+  store.ApplyOrLearn(t);  // duplicate visibility delivery
   EXPECT_EQ(store.Read(7).value, 5);
 
   store.RecoverFromWal();
   EXPECT_EQ(store.Read(7).value, 5);
-  store.LearnOption(t);
+  store.ApplyOrLearn(t);
   EXPECT_EQ(store.Read(7).value, 5);
 }
 
 TEST(Store, AdoptRecordKeepsPendingOptions) {
   Store store;
-  store.AcceptOption(Commutative(7, 3, 1));
+  ASSERT_TRUE(store.TryAcceptOption(Commutative(7, 3, 1)).ok());
   EXPECT_TRUE(store.AdoptRecord(SyncEntry{3, 2, 50, 0}));
   EXPECT_EQ(store.TotalPending(), 1u) << "sync must not drop pendings";
   EXPECT_EQ(store.Read(3).value, 50);
@@ -272,7 +270,7 @@ TEST(Store, AdoptRecordKeepsPendingOptions) {
 
 TEST(Store, SnapshotOmitsUntouchedDefaults) {
   Store store;
-  store.AcceptOption(Physical(1, 4, 0, 9));
+  ASSERT_TRUE(store.TryAcceptOption(Physical(1, 4, 0, 9)).ok());
   store.RemoveOption(1, 4);  // record materialized but never committed to
   EXPECT_TRUE(store.Snapshot().empty());
 }
@@ -281,12 +279,79 @@ TEST(Store, VersionChainAdvancesSequentially) {
   Store store;
   for (Version v = 0; v < 10; ++v) {
     WriteOption o = Physical(100 + v, 1, v, static_cast<Value>(v + 1));
-    ASSERT_TRUE(store.CheckOption(o).ok()) << "v=" << v;
-    store.AcceptOption(o);
-    ASSERT_TRUE(store.ApplyOption(100 + v, 1));
+    ASSERT_TRUE(store.TryAcceptOption(o).ok()) << "v=" << v;
+    store.ApplyOrLearn(o);
   }
   EXPECT_EQ(store.Read(1).version, 10u);
   EXPECT_EQ(store.Read(1).value, 10);
+}
+
+// Version-ordered apply (ApplyInOrder), the learner path of both stacks.
+
+TEST(Store, OutOfOrderLearnsApplyInVersionOrder) {
+  Store store;
+  store.ApplyInOrder(Physical(12, 1, 2, 30));  // waits for v2
+  store.ApplyInOrder(Physical(11, 1, 1, 20));  // waits for v1
+  EXPECT_EQ(store.DeferredCount(), 2u);
+  EXPECT_EQ(store.Read(1).version, 0u) << "nothing applies out of order";
+  store.ApplyInOrder(Physical(10, 1, 0, 10));  // unblocks the chain
+  EXPECT_EQ(store.DeferredCount(), 0u);
+  EXPECT_EQ(store.Read(1).version, 3u);
+  EXPECT_EQ(store.Read(1).value, 30);
+  ASSERT_EQ(store.wal().size(), 3u);
+  EXPECT_EQ(store.wal()[0].txn, 10u);
+  EXPECT_EQ(store.wal()[1].txn, 11u);
+  EXPECT_EQ(store.wal()[2].txn, 12u);
+}
+
+TEST(Store, CommutativeLearnsApplyWithoutWaiting) {
+  Store store;
+  store.ApplyInOrder(Physical(11, 1, 1, 20));  // deferred
+  store.ApplyInOrder(Commutative(12, 1, 5));
+  EXPECT_EQ(store.Read(1).value, 5);
+  EXPECT_EQ(store.DeferredCount(), 1u);
+}
+
+TEST(Store, LearnBehindCurrentVersionIsDropped) {
+  Store store;
+  WriteOption late = Physical(10, 1, 0, 42);
+  ASSERT_TRUE(store.TryAcceptOption(late).ok());
+  // Anti-entropy installs a newer record; the pending option stays.
+  ASSERT_TRUE(store.AdoptRecord(SyncEntry{1, 1, 7, 0, {}}));
+  ASSERT_EQ(store.TotalPending(), 1u);
+  store.ApplyInOrder(late);  // its visibility arrives after the sync
+  EXPECT_EQ(store.TotalPending(), 0u) << "the obsolete pending entry goes";
+  EXPECT_EQ(store.Read(1).version, 1u);
+  EXPECT_EQ(store.Read(1).value, 7);
+  EXPECT_EQ(store.DeferredCount(), 0u);
+  EXPECT_EQ(store.wal().size(), 1u) << "only the adoption is logged";
+}
+
+TEST(Store, AdoptRecordPrunesAndDrainsDeferredChain) {
+  Store store;
+  store.ApplyInOrder(Physical(11, 1, 1, 20));
+  store.ApplyInOrder(Physical(12, 1, 2, 30));
+  store.ApplyInOrder(Physical(14, 1, 4, 50));
+  ASSERT_EQ(store.DeferredCount(), 3u);
+  // Jumping to v2 makes the v1 transition obsolete and unblocks v2 -> v3;
+  // v4 still waits for the missing v3 transition.
+  ASSERT_TRUE(store.AdoptRecord(SyncEntry{1, 2, 25, 0, {}}));
+  EXPECT_EQ(store.Read(1).version, 3u);
+  EXPECT_EQ(store.Read(1).value, 30);
+  EXPECT_EQ(store.DeferredCount(), 1u);
+  store.ApplyInOrder(Physical(13, 1, 3, 40));
+  EXPECT_EQ(store.Read(1).version, 5u);
+  EXPECT_EQ(store.Read(1).value, 50);
+  EXPECT_EQ(store.DeferredCount(), 0u);
+}
+
+TEST(Store, RefusedAdoptionLeavesDeferredChain) {
+  Store store;
+  store.SeedValue(1, 10);  // version 1
+  store.ApplyInOrder(Physical(12, 1, 2, 30));
+  EXPECT_FALSE(store.AdoptRecord(SyncEntry{1, 1, 10, 0, {}}));
+  EXPECT_EQ(store.DeferredCount(), 1u);
+  EXPECT_EQ(store.Read(1).version, 1u);
 }
 
 }  // namespace
