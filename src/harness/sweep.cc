@@ -29,12 +29,7 @@ SweepOptions ParseSweepArgs(int argc, char** argv,
           bench_id.c_str());
       std::exit(0);
     } else if (a == "--threads") {
-      options.threads = std::atoi(need());
-      if (options.threads < 1) {
-        std::fprintf(stderr, "%s: --threads wants a positive count\n",
-                     bench_id.c_str());
-        std::exit(2);
-      }
+      if (!ParseFlagNumber(a, need(), &options.threads, 1)) std::exit(2);
     } else if (a == "--json") {
       options.json_path = need();
     } else {
@@ -44,6 +39,12 @@ SweepOptions ParseSweepArgs(int argc, char** argv,
     }
   }
   return options;
+}
+
+void ReportBadFlagValue(const std::string& flag, const std::string& text,
+                        const char* what) {
+  std::fprintf(stderr, "%s wants %s, got '%s'\n", flag.c_str(), what,
+               text.c_str());
 }
 
 void ExportMetricsJson(const SweepOptions& options, const MetricsJson& json) {

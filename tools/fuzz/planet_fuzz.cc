@@ -35,6 +35,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,6 +47,7 @@
 #include "fault/fault.h"
 #include "harness/cluster.h"
 #include "harness/metrics.h"
+#include "harness/sweep.h"
 #include "workload/runners.h"
 
 namespace planet {
@@ -659,18 +661,23 @@ int Main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric values parse strictly; an override must also clear its
+    // "derived" sentinel (-1), or the flag would be silently ignored.
+    auto number = [&](auto* out, auto min) {
+      if (!ParseFlagNumber(arg, next(), out, min)) std::exit(Usage());
+    };
     if (arg == "--seeds") {
-      flags.seeds = std::atoi(next());
+      number(&flags.seeds, 1);
     } else if (arg == "--seed-start") {
-      flags.seed_start = std::strtoull(next(), nullptr, 10);
+      number(&flags.seed_start, 0);
     } else if (arg == "--seed") {
-      flags.single_seed = static_cast<int64_t>(std::strtoull(next(), nullptr, 10));
+      number(&flags.single_seed, 0);
     } else if (arg == "--duration-ms") {
-      flags.duration_ms = std::atoll(next());
+      number(&flags.duration_ms, 0);
     } else if (arg == "--stack") {
       flags.stack = next();
     } else if (arg == "--clients") {
-      flags.clients_override = std::atoi(next());
+      number(&flags.clients_override, 1);
     } else if (arg == "--fault") {
       std::string spec = next();
       flags.fault_override = true;
@@ -681,7 +688,7 @@ int Main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--chaos-drop-learn") {
-      flags.chaos_drop_learn = std::atoi(next());
+      number(&flags.chaos_drop_learn, 0);
     } else if (arg == "--isolation") {
       const char* mode = next();
       if (!ParseIsolationLevel(mode, &flags.isolation)) {
@@ -689,19 +696,15 @@ int Main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--keys") {
-      flags.keys_override = std::atoll(next());
+      number(&flags.keys_override, 1);
     } else if (arg == "--reads") {
-      flags.reads_override = std::atoi(next());
+      number(&flags.reads_override, 0);
     } else if (arg == "--writes") {
-      flags.writes_override = std::atoi(next());
+      number(&flags.writes_override, 0);
     } else if (arg == "--kill-threshold") {
-      flags.kill_threshold = std::atof(next());
+      number(&flags.kill_threshold, std::numeric_limits<double>::lowest());
     } else if (arg == "--kill-confirm") {
-      flags.kill_confirm = std::atoi(next());
-      if (flags.kill_confirm < 1) {
-        std::fprintf(stderr, "--kill-confirm wants a positive count\n");
-        return Usage();
-      }
+      number(&flags.kill_confirm, 1);
     } else if (arg == "--derive-kill-threshold") {
       flags.derive_kill = true;
     } else if (arg == "--predict") {
@@ -716,8 +719,14 @@ int Main(int argc, char** argv) {
                      spec.c_str());
         return Usage();
       }
-      TxnId txn = std::strtoull(spec.substr(0, colon).c_str(), nullptr, 10);
-      Duration delay = std::atoll(spec.substr(colon + 1).c_str());
+      TxnId txn = 0;
+      Duration delay = 0;
+      if (!ParseFlagNumber(arg + " TXN", spec.substr(0, colon).c_str(), &txn,
+                           0) ||
+          !ParseFlagNumber(arg + " MICROS", spec.substr(colon + 1).c_str(),
+                           &delay, 0)) {
+        return Usage();
+      }
       flags.delays[txn] += delay;
     } else if (arg == "--expect-violation") {
       flags.expect_violation = true;
@@ -726,7 +735,7 @@ int Main(int argc, char** argv) {
     } else if (arg == "--artifact") {
       flags.artifact = next();
     } else if (arg == "--dump-key") {
-      flags.dump_key = std::atoll(next());
+      number(&flags.dump_key, 0);
     } else if (arg == "-v" || arg == "--verbose") {
       flags.verbose = true;
     } else {
@@ -737,10 +746,6 @@ int Main(int argc, char** argv) {
   if (flags.stack != "planet" && flags.stack != "mdcc" &&
       flags.stack != "tpc" && flags.stack != "mixed") {
     std::fprintf(stderr, "bad --stack: %s\n", flags.stack.c_str());
-    return Usage();
-  }
-  if (flags.single_seed < 0 && flags.seeds < 1) {
-    std::fprintf(stderr, "--seeds wants a positive count\n");
     return Usage();
   }
   Status valid = flags.faults.Validate(kNumDcs);

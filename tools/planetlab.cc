@@ -140,33 +140,33 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       Usage();
       exit(0);
     } else if (a == "--dcs") {
-      args->dcs = atoi(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->dcs, 1)) return false;
     } else if (a == "--clients-per-dc") {
-      args->clients_per_dc = atoi(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->clients_per_dc, 1)) return false;
     } else if (a == "--seed") {
-      args->seed = strtoull(need(i), nullptr, 10);
+      if (!ParseFlagNumber(a, need(i), &args->seed)) return false;
     } else if (a == "--duration") {
-      args->duration_s = atoi(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->duration_s, 0)) return false;
     } else if (a == "--keys") {
-      args->keys = strtoull(need(i), nullptr, 10);
+      if (!ParseFlagNumber(a, need(i), &args->keys)) return false;
     } else if (a == "--dist") {
       args->dist = need(i);
     } else if (a == "--theta") {
-      args->theta = atof(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->theta)) return false;
     } else if (a == "--hot-keys") {
-      args->hot_keys = strtoull(need(i), nullptr, 10);
+      if (!ParseFlagNumber(a, need(i), &args->hot_keys)) return false;
     } else if (a == "--hot-frac") {
-      args->hot_frac = atof(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->hot_frac)) return false;
     } else if (a == "--reads") {
-      args->reads = atoi(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->reads)) return false;
     } else if (a == "--writes") {
-      args->writes = atoi(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->writes)) return false;
     } else if (a == "--commutative") {
       args->commutative = true;
     } else if (a == "--rate") {
-      args->rate = atof(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->rate)) return false;
     } else if (a == "--think") {
-      args->think_ms = atoi(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->think_ms, 0)) return false;
     } else if (a == "--stack") {
       args->stack = need(i);
     } else if (a == "--isolation") {
@@ -177,23 +177,19 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
     } else if (a == "--deadline") {
-      args->deadline_ms = atoi(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->deadline_ms, 0)) return false;
     } else if (a == "--threshold") {
-      args->threshold = atof(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->threshold)) return false;
     } else if (a == "--giveup") {
       args->giveup = true;
     } else if (a == "--admission") {
-      args->admission = atof(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->admission)) return false;
     } else if (a == "--kill-threshold") {
-      args->kill_threshold = atof(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->kill_threshold)) return false;
     } else if (a == "--kill-hysteresis") {
-      args->kill_hysteresis = atof(need(i));
+      if (!ParseFlagNumber(a, need(i), &args->kill_hysteresis)) return false;
     } else if (a == "--kill-confirm") {
-      args->kill_confirm = atoi(need(i));
-      if (args->kill_confirm < 1) {
-        std::fprintf(stderr, "--kill-confirm wants a positive count\n");
-        return false;
-      }
+      if (!ParseFlagNumber(a, need(i), &args->kill_confirm, 1)) return false;
     } else if (a == "--spike") {
       int dc = 0, start = 0, end = 0, extra_ms = 0;
       if (sscanf(need(i), "%d:%d:%d:%d", &dc, &start, &end, &extra_ms) != 4) {
@@ -210,21 +206,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
     } else if (a == "--failover") {
-      args->failover_ms = atoi(need(i));
-      if (args->failover_ms < 0) {
-        std::fprintf(stderr, "--failover wants a nonnegative ms value\n");
-        return false;
-      }
+      if (!ParseFlagNumber(a, need(i), &args->failover_ms, 0)) return false;
     } else if (a == "--csv") {
       args->csv = true;
     } else if (a == "--json") {
       args->sweep.json_path = need(i);
     } else if (a == "--sim-shards") {
-      args->sim_shards = atoi(need(i));
-      if (args->sim_shards < 1) {
-        std::fprintf(stderr, "--sim-shards wants a positive count\n");
-        return false;
-      }
+      if (!ParseFlagNumber(a, need(i), &args->sim_shards, 1)) return false;
     } else if (a == "--verbose") {
       args->verbose = true;
     } else {
@@ -238,10 +226,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (args->stack != "planet" && args->stack != "mdcc" &&
       args->stack != "2pc") {
     std::fprintf(stderr, "unknown stack %s\n", args->stack.c_str());
-    return false;
-  }
-  if (args->dcs < 1) {
-    std::fprintf(stderr, "--dcs wants a positive count\n");
     return false;
   }
   if (args->dist != "uniform" && args->dist != "zipf" &&
