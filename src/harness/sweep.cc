@@ -1,7 +1,9 @@
 #include "harness/sweep.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -41,11 +43,31 @@ SweepOptions ParseSweepArgs(int argc, char** argv,
   return options;
 }
 
-void ReportBadFlagValue(const std::string& flag, const std::string& text,
-                        const char* what) {
-  std::fprintf(stderr, "%s wants %s, got '%s'\n", flag.c_str(), what,
-               text.c_str());
+template <typename T>
+bool ParseFlagNumber(const std::string& flag, const char* text, T* out,
+                     std::type_identity_t<T> min) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec == std::errc() && ptr == end && value >= min) {  // NaN fails too
+    *out = value;
+    return true;
+  }
+  const char* want = min > T{0}    ? "a positive count"
+                     : min == T{0} ? "a nonnegative number"
+                                   : "a number";
+  std::fprintf(stderr, "%s wants %s, got '%s'\n", flag.c_str(), want, text);
+  return false;
 }
+
+template bool ParseFlagNumber<int>(const std::string&, const char*, int*,
+                                   int);
+template bool ParseFlagNumber<int64_t>(const std::string&, const char*,
+                                       int64_t*, int64_t);
+template bool ParseFlagNumber<uint64_t>(const std::string&, const char*,
+                                        uint64_t*, uint64_t);
+template bool ParseFlagNumber<double>(const std::string&, const char*,
+                                      double*, double);
 
 void ExportMetricsJson(const SweepOptions& options, const MetricsJson& json) {
   if (options.json_path.empty()) return;

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -36,31 +35,15 @@ struct SweepOptions {
 /// unknown. `bench_id` names the binary in the usage text.
 SweepOptions ParseSweepArgs(int argc, char** argv, const std::string& bench_id);
 
-/// Prints "FLAG wants WHAT, got TEXT" to stderr (ParseFlagNumber's error).
-void ReportBadFlagValue(const std::string& flag, const std::string& text,
-                        const char* what);
-
 /// The numeric flag parser of every command-line tool: all of `text` must
 /// be one base-10 number of T's type no smaller than `min` (counts pass 1,
-/// durations 0). Otherwise this reports the flag and returns false; atoi
-/// and strtoull would read "abc" as 0 and "1x" as 1.
+/// durations 0). Otherwise this prints "FLAG wants ..., got 'TEXT'" to
+/// stderr and returns false; atoi and strtoull would read "abc" as 0 and
+/// "1x" as 1. Defined for int, int64_t, uint64_t and double.
 template <typename T>
 [[nodiscard]] bool ParseFlagNumber(
     const std::string& flag, const char* text, T* out,
-    std::type_identity_t<T> min = std::numeric_limits<T>::lowest()) {
-  T value{};
-  const char* end = text + std::char_traits<char>::length(text);
-  auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec == std::errc() && ptr == end && value >= min) {  // NaN fails too
-    *out = value;
-    return true;
-  }
-  ReportBadFlagValue(flag, text,
-                     min > T{0}    ? "a positive count"
-                     : min == T{0} ? "a nonnegative number"
-                                   : "a number");
-  return false;
-}
+    std::type_identity_t<T> min = std::numeric_limits<T>::lowest());
 
 /// Runs `fn(t)` for every t in [0, num_threads): inline on the calling
 /// thread for one, otherwise on one thread each, all joined before this

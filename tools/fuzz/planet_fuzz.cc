@@ -35,7 +35,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -702,7 +701,7 @@ int Main(int argc, char** argv) {
     } else if (arg == "--writes") {
       number(&flags.writes_override, 0);
     } else if (arg == "--kill-threshold") {
-      number(&flags.kill_threshold, std::numeric_limits<double>::lowest());
+      if (!ParseFlagNumber(arg, next(), &flags.kill_threshold)) return Usage();
     } else if (arg == "--kill-confirm") {
       number(&flags.kill_confirm, 1);
     } else if (arg == "--derive-kill-threshold") {
