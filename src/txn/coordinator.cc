@@ -99,6 +99,7 @@ void Coordinator::Commit(TxnId txn, CommitCallback cb) {
   PLANET_CHECK_MSG(state != nullptr,
                    "commit on unknown or submitted txn " << txn);
   state->commit_cb = std::move(cb);
+  state->submitted = true;
   if (delays_ != nullptr) {
     auto it = delays_->find(txn);
     if (it != delays_->end() && it->second > 0) {
@@ -115,7 +116,8 @@ void Coordinator::Commit(TxnId txn, CommitCallback cb) {
 }
 
 void Coordinator::AbortEarly(TxnId txn) {
-  if (FindExecuting(txn) != nullptr) Forget(txn);
+  TxnBuffer* state = FindExecuting(txn);
+  if (state != nullptr && !state->submitted) Forget(txn);
 }
 
 void Coordinator::NoteDecision(const TxnBuffer& txn, const Status& outcome,

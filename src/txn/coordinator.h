@@ -54,8 +54,9 @@ class Coordinator : public Node {
   /// holds the whole submission back by its duration.
   void Commit(TxnId txn, CommitCallback cb);
 
-  /// Drops a transaction that has not started committing (e.g. after a read
-  /// timeout). A no-op for an unknown or submitted transaction.
+  /// Drops a transaction that has not been submitted (e.g. after a read
+  /// timeout). A no-op for an unknown transaction and once Commit has been
+  /// called, even while a schedule delay still holds the submission back.
   void AbortEarly(TxnId txn);
 
   /// Attaches a history recorder: every decided transaction is logged with
@@ -102,6 +103,7 @@ class Coordinator : public Node {
     std::map<Key, ObservedRead> read_versions;
     std::map<Key, WriteOption> writes;
     CommitCallback commit_cb;
+    bool submitted = false;  ///< Commit was called
   };
 
   /// One remote read in flight. Its reply and its timeout race; whichever
@@ -121,7 +123,7 @@ class Coordinator : public Node {
 
   /// The transaction if it exists and has not started committing.
   virtual TxnBuffer* FindExecuting(TxnId txn) = 0;
-  /// Erases an executing transaction (AbortEarly).
+  /// Erases an unsubmitted transaction (AbortEarly).
   virtual void Forget(TxnId txn) = 0;
   /// Sends `read` to the local node, whose reply reaches OnReadReply.
   virtual void SendRead(std::shared_ptr<PendingRead> read) = 0;

@@ -80,12 +80,17 @@ TEST(Tpc, ReadYourWritesPhysical) {
 TEST(Tpc, AbortEarlyAfterCommitIsNoOp) {
   TpcCluster cluster(BaseOptions());
   TpcClient* client = cluster.client(0);
+  ScheduleDelays delays;
+  client->SetScheduleDelays(&delays);
   Status outcome = Status::Internal("unset");
   TxnId txn = client->Begin();
+  // A delay directive holds the submission back, so the transaction has
+  // not started preparing when AbortEarly arrives: it must still commit.
+  delays[txn] = Millis(500);
   client->Read(txn, 42, [&](Status, RecordView view) {
     ASSERT_TRUE(client->Write(txn, 42, view.value + 1).ok());
     client->Commit(txn, [&](Status s) { outcome = s; });
-    client->AbortEarly(txn);  // already preparing: must not drop it
+    client->AbortEarly(txn);
   });
   cluster.Drain();
   EXPECT_TRUE(outcome.ok()) << outcome.ToString();
