@@ -10,6 +10,10 @@
 // of the history — two runs over the same input produce byte-identical
 // prediction lists. The fuzzer's confirmed-witness repro lines inherit
 // their replayability from this.
+//
+// Contract 3 (the two oracles agree): applying a prediction to the history
+// it came from — the reader's read observes the predicted version — makes
+// CheckSerializability report a cycle.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -159,6 +163,48 @@ TEST(PredictProperty, WeakPredictionsRespectSessionOrder) {
       EXPECT_GT(p.directives[0].delay, 0);
     }
   }
+}
+
+TEST(PredictProperty, PredictedCyclesAreCheckerCycles) {
+  size_t patched = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    History h = RandomHistory(seed, IsolationLevel::kReadCommitted,
+                              /*mixed=*/true);
+    bool forked = false;
+    for (const Violation& v : CheckSerializability(h).violations) {
+      if (v.kind == ViolationKind::kVersionFork) forked = true;
+    }
+    if (forked) continue;
+    for (const PredictedViolation& p : PredictReorderings(h)) {
+      // Replay the prediction on the history itself: the reader's read of
+      // `key` observes `predicted`. The writer's path to the reader never
+      // leaves through the reader, and the patched read adds rw
+      // reader -> writer, so the checker must see the cycle.
+      History patched_history;
+      for (const SeededKey& s : h.seeds()) {
+        patched_history.AddSeed(s.key, s.version, s.value);
+      }
+      for (RecordedTxn t : h.txns()) {
+        if (t.id == p.reader) {
+          for (RecordedRead& r : t.reads) {
+            if (r.key == p.key && r.version == p.observed) {
+              r.version = p.predicted;
+            }
+          }
+        }
+        patched_history.Add(std::move(t));
+      }
+      CheckReport report = CheckSerializability(patched_history);
+      bool cycle = false;
+      for (const Violation& v : report.violations) {
+        if (v.kind == ViolationKind::kCycle) cycle = true;
+      }
+      EXPECT_TRUE(cycle) << "seed " << seed << ": " << p.ToString() << "\n"
+                         << report.Summary();
+      ++patched;
+    }
+  }
+  EXPECT_GT(patched, 0u);
 }
 
 }  // namespace
