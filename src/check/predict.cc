@@ -2,72 +2,12 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <set>
 #include <sstream>
-#include <unordered_map>
+
+#include "check/dsg.h"
 
 namespace planet {
-namespace {
-
-using NodeIndex = int;
-constexpr NodeIndex kNoNode = -1;
-
-/// One serialization-graph edge, enough to rebuild a predicted witness.
-struct Edge {
-  NodeIndex to = kNoNode;
-  char kind = '?';
-  Key key = 0;
-  Version version = 0;
-};
-
-/// The DSG over committed transactions: validated accesses plus the
-/// unvalidated reads of weak-mode transactions (the edges the reassignment
-/// can recombine into a cycle).
-struct Graph {
-  std::vector<const RecordedTxn*> nodes;
-  std::vector<std::vector<Edge>> adj;
-
-  void AddEdge(NodeIndex from, NodeIndex to, char kind, Key key, Version v) {
-    if (from == to) return;
-    adj[static_cast<size_t>(from)].push_back(Edge{to, kind, key, v});
-  }
-};
-
-struct Chains {
-  /// key -> installed version -> committed writer nodes.
-  std::map<Key, std::map<Version, std::vector<NodeIndex>>> writers;
-  /// Versions installed by SeedValue (no writer node).
-  std::set<std::pair<Key, Version>> seeded;
-
-  bool VersionKnown(Key key, Version v) const {
-    if (v == 0) return true;
-    if (seeded.count({key, v}) != 0) return true;
-    auto k = writers.find(key);
-    if (k == writers.end()) return false;
-    auto it = k->second.find(v);
-    return it != k->second.end() && !it->second.empty();
-  }
-
-  const std::vector<NodeIndex>* WritersOf(Key key, Version v) const {
-    auto k = writers.find(key);
-    if (k == writers.end()) return nullptr;
-    auto it = k->second.find(v);
-    return it == k->second.end() ? nullptr : &it->second;
-  }
-};
-
-/// True iff `txn` physically writes `key` (reads covered by a validated
-/// write are not reassignable — the acceptors pin their version).
-bool WritesKey(const RecordedTxn& txn, Key key) {
-  auto w = std::lower_bound(
-      txn.writes.begin(), txn.writes.end(), key,
-      [](const RecordedWrite& lhs, Key k) { return lhs.key < k; });
-  return w != txn.writes.end() && w->key == key &&
-         w->kind == OptionKind::kPhysical;
-}
-
-}  // namespace
 
 std::string DelayDirective::ToString() const {
   std::ostringstream os;
@@ -89,63 +29,11 @@ std::string PredictedViolation::ToString() const {
 
 std::vector<PredictedViolation> PredictReorderings(
     const History& history, const PredictOptions& options) {
-  // Graph nodes: committed transactions, in history order.
-  Graph g;
-  std::unordered_map<TxnId, NodeIndex> node_of;
-  for (const RecordedTxn& txn : history.txns()) {
-    if (txn.outcome != TxnOutcome::kCommitted) continue;
-    node_of.emplace(txn.id, static_cast<NodeIndex>(g.nodes.size()));
-    g.nodes.push_back(&txn);
-  }
-  g.adj.resize(g.nodes.size());
-
-  Chains chains;
-  for (const SeededKey& seed : history.seeds()) {
-    chains.seeded.insert({seed.key, seed.version});
-  }
-  for (NodeIndex n = 0; n < static_cast<NodeIndex>(g.nodes.size()); ++n) {
-    const RecordedTxn& txn = *g.nodes[static_cast<size_t>(n)];
-    for (const RecordedWrite& w : txn.writes) {
-      if (w.kind != OptionKind::kPhysical) continue;
-      chains.writers[w.key][w.installed()].push_back(n);
-    }
-  }
-
-  // Edges: ww along each chain, then wr/rw for validated reads and for
-  // weak-mode unvalidated reads (same access selection as the checker).
-  for (const auto& [key, chain] : chains.writers) {
-    const std::vector<NodeIndex>* prev = nullptr;
-    Version prev_version = 0;
-    for (const auto& [version, writers] : chain) {
-      if (prev != nullptr && version == prev_version + 1) {
-        for (NodeIndex from : *prev) {
-          for (NodeIndex to : writers) g.AddEdge(from, to, 'w', key, version);
-        }
-      }
-      prev = &writers;
-      prev_version = version;
-    }
-  }
-  auto add_reader_edges = [&](NodeIndex reader, Key key, Version version) {
-    if (const auto* from = chains.WritersOf(key, version)) {
-      for (NodeIndex w : *from) g.AddEdge(w, reader, 'r', key, version);
-    }
-    if (const auto* to = chains.WritersOf(key, version + 1)) {
-      for (NodeIndex w : *to) g.AddEdge(reader, w, 'a', key, version);
-    }
-  };
-  for (NodeIndex n = 0; n < static_cast<NodeIndex>(g.nodes.size()); ++n) {
-    const RecordedTxn& txn = *g.nodes[static_cast<size_t>(n)];
-    for (const RecordedWrite& w : txn.writes) {
-      if (w.kind != OptionKind::kPhysical) continue;
-      add_reader_edges(n, w.key, w.read_version);
-    }
-    if (txn.isolation == IsolationLevel::kSerializable) continue;
-    for (const RecordedRead& r : txn.reads) {
-      if (WritesKey(txn, r.key)) continue;
-      add_reader_edges(n, r.key, r.version);
-    }
-  }
+  // The checker's graph under its default options: validated accesses plus
+  // the unvalidated reads of weak-mode transactions, the edges a
+  // reassignment can recombine into a cycle.
+  const SerializationGraph g =
+      BuildSerializationGraph(history, CheckerOptions{});
 
   // Candidate enumeration: for each weak-mode unvalidated read of (key, v)
   // with a foreign committed writer W of v and a realizable predecessor
@@ -169,28 +57,28 @@ std::vector<PredictedViolation> PredictReorderings(
   size_t examined = 0;
 
   for (NodeIndex t = 0; t < static_cast<NodeIndex>(g.nodes.size()); ++t) {
-    const RecordedTxn& reader = *g.nodes[static_cast<size_t>(t)];
+    const RecordedTxn& reader = g.txn(t);
     if (reader.isolation == IsolationLevel::kSerializable) continue;
     if (reader.client_node == kInvalidNodeId) continue;
     for (const RecordedRead& r : reader.reads) {
       if (examined >= options.max_candidates) break;
       if (r.at == 0) continue;  // pre-mode history: no ordering info
       if (r.version == 0) continue;
-      if (WritesKey(reader, r.key)) continue;
-      if (!chains.VersionKnown(r.key, r.version - 1)) continue;
-      const auto* writers = chains.WritersOf(r.key, r.version);
-      if (writers == nullptr) continue;
+      if (WritesPhysically(reader, r.key)) continue;
+      // Every key starts at version 0; any later predecessor must have
+      // been installed for the reassigned read to be realizable.
+      const ChainEntry* pred = g.Installed(r.key, r.version - 1);
+      if (pred == nullptr && r.version != 1) continue;
+      const ChainEntry* read = g.Installed(r.key, r.version);
+      if (read == nullptr) continue;
       if (dedup.count({reader.id, r.key}) != 0) continue;
-      for (NodeIndex w : *writers) {
-        const RecordedTxn& writer = *g.nodes[static_cast<size_t>(w)];
+      for (NodeIndex w : read->committed) {
+        const RecordedTxn& writer = g.txn(w);
         if (writer.client_node == reader.client_node) continue;  // session
         ++examined;
 
         // BFS from W toward T, skipping the reassigned wr edge.
-        const std::vector<NodeIndex>* pred_writers =
-            chains.WritersOf(r.key, r.version - 1);
-        std::vector<std::pair<NodeIndex, const Edge*>> parent(
-            g.nodes.size(), {kNoNode, nullptr});
+        std::vector<BfsParent> parent(g.nodes.size());
         std::vector<int> seen(g.nodes.size(), 0);
         std::deque<NodeIndex> queue{w};
         seen[static_cast<size_t>(w)] = 1;
@@ -200,14 +88,14 @@ std::vector<PredictedViolation> PredictReorderings(
           NodeIndex u = queue.front();
           queue.pop_front();
           // Reaching a writer of v-1 reaches T via the added wr edge.
-          if (pred_writers != nullptr && u != w &&
-              std::find(pred_writers->begin(), pred_writers->end(), u) !=
-                  pred_writers->end()) {
+          if (pred != nullptr && u != w &&
+              std::find(pred->committed.begin(), pred->committed.end(), u) !=
+                  pred->committed.end()) {
             hit = u;
             via_added_wr = true;
             break;
           }
-          for (const Edge& e : g.adj[static_cast<size_t>(u)]) {
+          for (const DsgEdge& e : g.adj[static_cast<size_t>(u)]) {
             if (u == w && e.to == t && e.kind == 'r' && e.key == r.key &&
                 e.version == r.version) {
               continue;  // the wr edge the reassignment removes
@@ -237,38 +125,13 @@ std::vector<PredictedViolation> PredictReorderings(
         c.delay = lead + options.margin;
 
         // Witness: W -> ... -> hit [-> T via added wr] and T -rw-> W.
-        std::vector<WitnessEdge> path;
-        NodeIndex v = via_added_wr ? hit : t;
-        while (v != w) {
-          auto [u, e] = parent[static_cast<size_t>(v)];
-          WitnessEdge we;
-          we.from = g.nodes[static_cast<size_t>(u)]->id;
-          we.to = g.nodes[static_cast<size_t>(v)]->id;
-          we.kind = e->kind;
-          we.key = e->key;
-          we.version = e->version;
-          path.push_back(we);
-          v = u;
-        }
-        std::reverse(path.begin(), path.end());
+        c.cycle = WitnessPath(g, parent, w, via_added_wr ? hit : t);
         if (via_added_wr) {
-          WitnessEdge we;
-          we.from = g.nodes[static_cast<size_t>(hit)]->id;
-          we.to = reader.id;
-          we.kind = 'r';
-          we.key = r.key;
-          we.version = r.version - 1;
-          path.push_back(we);
+          c.cycle.push_back(
+              WitnessEdge{g.txn(hit).id, reader.id, 'r', r.key, r.version - 1});
         }
-        WitnessEdge closing;
-        closing.from = reader.id;
-        closing.to = writer.id;
-        closing.kind = 'a';
-        closing.key = r.key;
-        closing.version = r.version - 1;
-        path.push_back(closing);
-        c.cycle = std::move(path);
-
+        c.cycle.push_back(
+            WitnessEdge{reader.id, writer.id, 'a', r.key, r.version - 1});
         confirmed.push_back(std::move(c));
         dedup.insert({reader.id, r.key});
         break;  // one candidate per (reader, key)
@@ -281,8 +144,8 @@ std::vector<PredictedViolation> PredictReorderings(
   std::stable_sort(confirmed.begin(), confirmed.end(),
                    [&](const Candidate& a, const Candidate& b) {
                      if (a.gap != b.gap) return a.gap < b.gap;
-                     TxnId ra = g.nodes[static_cast<size_t>(a.reader)]->id;
-                     TxnId rb = g.nodes[static_cast<size_t>(b.reader)]->id;
+                     TxnId ra = g.txn(a.reader).id;
+                     TxnId rb = g.txn(b.reader).id;
                      if (ra != rb) return ra < rb;
                      return a.key < b.key;
                    });
@@ -294,8 +157,8 @@ std::vector<PredictedViolation> PredictReorderings(
   out.reserve(confirmed.size());
   for (Candidate& c : confirmed) {
     PredictedViolation p;
-    p.reader = g.nodes[static_cast<size_t>(c.reader)]->id;
-    p.writer = g.nodes[static_cast<size_t>(c.writer)]->id;
+    p.reader = g.txn(c.reader).id;
+    p.writer = g.txn(c.writer).id;
     p.key = c.key;
     p.observed = c.observed;
     p.predicted = c.observed - 1;

@@ -3,91 +3,64 @@
 #include <deque>
 #include <map>
 #include <sstream>
-#include <unordered_map>
+
+#include "check/dsg.h"
 
 namespace planet {
 namespace {
 
-/// Graph node index per committed (or in-doubt, when allowed) transaction.
-using NodeIndex = int;
-constexpr NodeIndex kNoNode = -1;
+using Adjacency = std::vector<std::vector<DsgEdge>>;
 
-/// One adjacency-list edge, annotated for witness reconstruction.
-struct Edge {
-  NodeIndex to = kNoNode;
-  char kind = '?';
-  Key key = 0;
-  Version version = 0;
-  /// The edge exists only because a weak-mode (read_committed / causal)
-  /// transaction's unvalidated read joined the graph: any cycle that needs
-  /// it is a mode-permitted anomaly, not a protocol bug.
-  bool weak = false;
-};
+size_t EdgeCount(const Adjacency& adj) {
+  size_t n = 0;
+  for (const auto& out : adj) n += out.size();
+  return n;
+}
 
-struct Graph {
-  std::vector<const RecordedTxn*> nodes;
-  std::vector<std::vector<Edge>> adj;
-
-  void AddEdge(NodeIndex from, NodeIndex to, char kind, Key key, Version v,
-               bool weak = false) {
-    if (from == to) return;  // self-dependencies are not anomalies
-    adj[static_cast<size_t>(from)].push_back(Edge{to, kind, key, v, weak});
-  }
-
-  size_t EdgeCount() const {
-    size_t n = 0;
-    for (const auto& out : adj) n += out.size();
-    return n;
-  }
-
-  bool HasWeakEdge() const {
-    for (const auto& out : adj) {
-      for (const Edge& e : out) {
-        if (e.weak) return true;
-      }
+bool HasWeakEdge(const Adjacency& adj) {
+  for (const auto& out : adj) {
+    for (const DsgEdge& e : out) {
+      if (e.weak) return true;
     }
-    return false;
   }
+  return false;
+}
 
-  /// The subgraph of strong (non-weak) edges over the same node set.
-  Graph StrongSubgraph() const {
-    Graph gs;
-    gs.nodes = nodes;
-    gs.adj.resize(adj.size());
-    for (size_t v = 0; v < adj.size(); ++v) {
-      for (const Edge& e : adj[v]) {
-        if (!e.weak) gs.adj[v].push_back(e);
-      }
+/// The strong (non-weak) edges of `adj`, over the same node set.
+Adjacency StrongSubgraph(const Adjacency& adj) {
+  Adjacency strong(adj.size());
+  for (size_t v = 0; v < adj.size(); ++v) {
+    for (const DsgEdge& e : adj[v]) {
+      if (!e.weak) strong[v].push_back(e);
     }
-    return gs;
   }
-};
+  return strong;
+}
 
-/// Shortest cycle through any node of the graph, as witness edges.
+/// Shortest cycle through any node of the SCC over `adj`, as witness edges.
 /// BFS from every node over its out-edges back to itself; O(V * E), run
 /// only when a cycle is known to exist (Tarjan found a nontrivial SCC).
-std::vector<WitnessEdge> ShortestCycle(const Graph& g,
+std::vector<WitnessEdge> ShortestCycle(const SerializationGraph& g,
+                                       const Adjacency& adj,
                                        const std::vector<NodeIndex>& scc) {
   std::vector<WitnessEdge> best;
-  std::vector<int> in_scc(g.nodes.size(), 0);
+  std::vector<int> in_scc(adj.size(), 0);
   for (NodeIndex n : scc) in_scc[static_cast<size_t>(n)] = 1;
 
   for (NodeIndex start : scc) {
-    // parent[v] = edge used to first reach v from `start`.
-    std::vector<std::pair<NodeIndex, const Edge*>> parent(g.nodes.size(),
-                                                          {kNoNode, nullptr});
+    std::vector<BfsParent> parent(adj.size());
     std::deque<NodeIndex> queue{start};
-    std::vector<int> seen(g.nodes.size(), 0);
+    std::vector<int> seen(adj.size(), 0);
     seen[static_cast<size_t>(start)] = 1;
-    const Edge* closing = nullptr;
-    while (!queue.empty() && closing == nullptr) {
+    bool closed = false;
+    while (!queue.empty() && !closed) {
       NodeIndex u = queue.front();
       queue.pop_front();
-      for (const Edge& e : g.adj[static_cast<size_t>(u)]) {
+      for (const DsgEdge& e : adj[static_cast<size_t>(u)]) {
         if (!in_scc[static_cast<size_t>(e.to)]) continue;
         if (e.to == start) {
           parent[static_cast<size_t>(start)] = {u, &e};
-          closing = &e;
+          closed = true;
           break;
         }
         if (!seen[static_cast<size_t>(e.to)]) {
@@ -97,23 +70,8 @@ std::vector<WitnessEdge> ShortestCycle(const Graph& g,
         }
       }
     }
-    if (closing == nullptr) continue;
-
-    // Walk parents back from `start` to `start`, collecting the cycle.
-    std::vector<WitnessEdge> cycle;
-    NodeIndex v = start;
-    do {
-      auto [u, e] = parent[static_cast<size_t>(v)];
-      WitnessEdge w;
-      w.from = g.nodes[static_cast<size_t>(u)]->id;
-      w.to = g.nodes[static_cast<size_t>(v)]->id;
-      w.kind = e->kind;
-      w.key = e->key;
-      w.version = e->version;
-      cycle.push_back(w);
-      v = u;
-    } while (v != start);
-    std::reverse(cycle.begin(), cycle.end());
+    if (!closed) continue;
+    std::vector<WitnessEdge> cycle = WitnessPath(g, parent, start, start);
     if (best.empty() || cycle.size() < best.size()) best = std::move(cycle);
     if (best.size() == 2) break;  // cannot do better: no self-loops exist
   }
@@ -121,8 +79,8 @@ std::vector<WitnessEdge> ShortestCycle(const Graph& g,
 }
 
 /// Iterative Tarjan SCC; returns the members of every SCC of size >= 2.
-std::vector<std::vector<NodeIndex>> NontrivialSccs(const Graph& g) {
-  const size_t n = g.nodes.size();
+std::vector<std::vector<NodeIndex>> NontrivialSccs(const Adjacency& adj) {
+  const size_t n = adj.size();
   std::vector<int> index(n, -1), low(n, 0), on_stack(n, 0);
   std::vector<NodeIndex> stack;
   std::vector<std::vector<NodeIndex>> sccs;
@@ -144,8 +102,8 @@ std::vector<std::vector<NodeIndex>> NontrivialSccs(const Graph& g) {
         on_stack[v] = 1;
       }
       bool descended = false;
-      while (f.edge < g.adj[v].size()) {
-        NodeIndex w = g.adj[v][f.edge].to;
+      while (f.edge < adj[v].size()) {
+        NodeIndex w = adj[v][f.edge].to;
         ++f.edge;
         size_t wi = static_cast<size_t>(w);
         if (index[wi] == -1) {
@@ -243,145 +201,46 @@ std::string CheckReport::Summary() const {
 CheckReport CheckSerializability(const History& history,
                                  const CheckerOptions& options) {
   CheckReport report;
-
-  // Nodes: committed transactions (in-doubt ones only join version chains).
-  Graph g;
-  std::unordered_map<TxnId, NodeIndex> node_of;
-  for (const RecordedTxn& txn : history.txns()) {
-    if (txn.outcome != TxnOutcome::kCommitted) continue;
-    node_of.emplace(txn.id, static_cast<NodeIndex>(g.nodes.size()));
-    g.nodes.push_back(&txn);
-  }
-  g.adj.resize(g.nodes.size());
+  SerializationGraph g = BuildSerializationGraph(history, options);
   report.committed_txns = g.nodes.size();
+  report.edges = EdgeCount(g.adj);
 
-  // Per-key chains: installed version -> writers. std::map keeps versions
-  // ordered for the ww edges; the writer list catches forks.
-  struct ChainEntry {
-    std::vector<NodeIndex> committed;  ///< committed writers of this version
-    bool seeded = false;               ///< installed by SeedValue
-    bool in_doubt = false;             ///< possible 2PC in-doubt writer
-  };
-  std::map<Key, std::map<Version, ChainEntry>> chains;
-  for (const SeededKey& seed : history.seeds()) {
-    chains[seed.key][seed.version].seeded = true;
-  }
-  for (const RecordedTxn& txn : history.txns()) {
-    bool committed = txn.outcome == TxnOutcome::kCommitted;
-    bool in_doubt = options.allow_in_doubt_writers && txn.in_doubt;
-    if (!committed && !in_doubt) continue;
-    for (const RecordedWrite& w : txn.writes) {
-      if (w.kind != OptionKind::kPhysical) continue;
-      ChainEntry& entry = chains[w.key][w.installed()];
-      if (committed) {
-        entry.committed.push_back(node_of.at(txn.id));
-      } else {
-        entry.in_doubt = true;
-      }
-    }
-  }
-
-  // Structural checks + ww edges along each chain.
-  for (const auto& [key, chain] : chains) {
-    const ChainEntry* prev = nullptr;
-    Version prev_version = 0;
+  // Two committed writers of one version (a seed counts as one) fork it.
+  for (const auto& [key, chain] : g.chains) {
     for (const auto& [version, entry] : chain) {
       size_t writers = entry.committed.size() + (entry.seeded ? 1 : 0);
-      if (writers > 1) {
-        Violation v;
-        v.kind = ViolationKind::kVersionFork;
-        v.keys.push_back(key);
-        std::ostringstream os;
-        os << "key " << key << " v" << version << " installed by "
-           << writers << " committed writers:";
-        for (NodeIndex n : entry.committed) {
-          v.txns.push_back(g.nodes[static_cast<size_t>(n)]->id);
-          os << " txn " << g.nodes[static_cast<size_t>(n)]->id;
-        }
-        if (entry.seeded) os << " seed";
-        v.message = os.str();
-        report.violations.push_back(std::move(v));
-      }
-      if (prev != nullptr && version == prev_version + 1) {
-        for (NodeIndex from : prev->committed) {
-          for (NodeIndex to : entry.committed) {
-            g.AddEdge(from, to, 'w', key, version);
-          }
-        }
-      }
-      prev = &entry;
-      prev_version = version;
-    }
-  }
-
-  // Reader edges. A transaction's validated read of (key, v) is the
-  // read_version of its physical write; unvalidated reads join for
-  // weak-mode transactions always (tagged weak) and for serializable ones
-  // on request. Writers of v get wr edges to the reader; writers of v+1
-  // get rw (anti-dependency) edges from it. A phantom from a speculative
-  // (read-committed) read is the dirty read that mode permits; any other
-  // phantom is a protocol bug.
-  auto add_reader_edges = [&](NodeIndex reader, Key key, Version version,
-                              bool weak, bool speculative) {
-    auto chain_it = chains.find(key);
-    const std::map<Version, ChainEntry>* chain =
-        chain_it == chains.end() ? nullptr : &chain_it->second;
-    bool known = version == 0;  // every key logically starts at version 0
-    if (chain != nullptr) {
-      auto entry = chain->find(version);
-      if (entry != chain->end()) {
-        known = true;
-        for (NodeIndex from : entry->second.committed) {
-          g.AddEdge(from, reader, 'r', key, version, weak);
-        }
-      }
-      auto next = chain->find(version + 1);
-      if (next != chain->end()) {
-        for (NodeIndex to : next->second.committed) {
-          g.AddEdge(reader, to, 'a', key, version, weak);
-        }
-      }
-    }
-    if (!known) {
+      if (writers <= 1) continue;
       Violation v;
-      v.kind = ViolationKind::kPhantomVersion;
-      v.mode_permitted = weak && speculative;
-      v.txns.push_back(g.nodes[static_cast<size_t>(reader)]->id);
+      v.kind = ViolationKind::kVersionFork;
       v.keys.push_back(key);
       std::ostringstream os;
-      os << "txn " << g.nodes[static_cast<size_t>(reader)]->id
-         << " observed key " << key << " @v" << version
-         << ", which no committed write installed (dirty read)";
-      if (v.mode_permitted) os << " under read-committed visibility";
+      os << "key " << key << " v" << version << " installed by " << writers
+         << " committed writers:";
+      for (NodeIndex n : entry.committed) {
+        v.txns.push_back(g.txn(n).id);
+        os << " txn " << g.txn(n).id;
+      }
+      if (entry.seeded) os << " seed";
       v.message = os.str();
       report.violations.push_back(std::move(v));
     }
-  };
-
-  for (NodeIndex n = 0; n < static_cast<NodeIndex>(g.nodes.size()); ++n) {
-    const RecordedTxn& txn = *g.nodes[static_cast<size_t>(n)];
-    for (const RecordedWrite& w : txn.writes) {
-      if (w.kind != OptionKind::kPhysical) continue;
-      // Acceptor-validated: a strong edge regardless of the txn's mode.
-      add_reader_edges(n, w.key, w.read_version, /*weak=*/false,
-                       /*speculative=*/false);
-    }
-    bool weak_mode = txn.isolation != IsolationLevel::kSerializable;
-    if (!weak_mode && !options.include_unvalidated_reads) continue;
-    for (const RecordedRead& r : txn.reads) {
-      // Skip keys covered by a validated (written) access: writes are
-      // sorted by key, so a binary search keeps this pass O(R log W).
-      auto w = std::lower_bound(
-          txn.writes.begin(), txn.writes.end(), r.key,
-          [](const RecordedWrite& lhs, Key k) { return lhs.key < k; });
-      if (w != txn.writes.end() && w->key == r.key &&
-          w->kind == OptionKind::kPhysical) {
-        continue;
-      }
-      add_reader_edges(n, r.key, r.version, weak_mode, r.speculative);
-    }
   }
-  report.edges = g.EdgeCount();
+
+  // A phantom from a speculative (read-committed) read is the dirty read
+  // that mode permits; any other phantom is a protocol bug.
+  for (const UninstalledRead& r : g.uninstalled_reads) {
+    Violation v;
+    v.kind = ViolationKind::kPhantomVersion;
+    v.mode_permitted = r.weak && r.speculative;
+    v.txns.push_back(g.txn(r.reader).id);
+    v.keys.push_back(r.key);
+    std::ostringstream os;
+    os << "txn " << g.txn(r.reader).id << " observed key " << r.key << " @v"
+       << r.version << ", which no committed write installed (dirty read)";
+    if (v.mode_permitted) os << " under read-committed visibility";
+    v.message = os.str();
+    report.violations.push_back(std::move(v));
+  }
 
   // Causal session guarantees: within one client session, reads of a key
   // must never go backwards past what the session already observed (reads
@@ -446,61 +305,42 @@ CheckReport CheckSerializability(const History& history,
   // the strong (validated-edges-only) subgraph is a protocol bug; an SCC
   // held together only by weak unvalidated reads is the write skew / long
   // fork its isolation mode permits.
-  std::vector<std::vector<NodeIndex>> full_sccs = NontrivialSccs(g);
-  if (!full_sccs.empty() && g.HasWeakEdge()) {
-    Graph gs = g.StrongSubgraph();
-    std::vector<int> in_strong_scc(g.nodes.size(), 0);
-    for (const std::vector<NodeIndex>& scc : NontrivialSccs(gs)) {
-      for (NodeIndex n : scc) in_strong_scc[static_cast<size_t>(n)] = 1;
-      Violation v;
-      v.kind = ViolationKind::kCycle;
-      v.cycle = ShortestCycle(gs, scc);
-      for (const WitnessEdge& e : v.cycle) {
-        v.txns.push_back(e.from);
-        v.keys.push_back(e.key);
-      }
-      std::ostringstream os;
-      os << "serialization graph cycle of length " << v.cycle.size() << " ("
-         << scc.size() << " txns entangled; validated edges only)";
-      v.message = os.str();
-      report.violations.push_back(std::move(v));
+  auto report_cycle = [&](const Adjacency& adj,
+                          const std::vector<NodeIndex>& scc, bool permitted,
+                          const char* tail) {
+    Violation v;
+    v.kind = ViolationKind::kCycle;
+    v.mode_permitted = permitted;
+    v.cycle = ShortestCycle(g, adj, scc);
+    for (const WitnessEdge& e : v.cycle) {
+      v.txns.push_back(e.from);
+      v.keys.push_back(e.key);
     }
-    for (const std::vector<NodeIndex>& scc : full_sccs) {
-      bool has_strong = false;
-      for (NodeIndex n : scc) {
-        if (in_strong_scc[static_cast<size_t>(n)]) has_strong = true;
-      }
-      if (has_strong) continue;  // already reported from the strong graph
-      Violation v;
-      v.kind = ViolationKind::kCycle;
-      v.mode_permitted = true;
-      v.cycle = ShortestCycle(g, scc);
-      for (const WitnessEdge& e : v.cycle) {
-        v.txns.push_back(e.from);
-        v.keys.push_back(e.key);
-      }
-      std::ostringstream os;
-      os << "serialization graph cycle of length " << v.cycle.size() << " ("
-         << scc.size()
-         << " txns entangled) through weak-isolation unvalidated reads";
-      v.message = os.str();
-      report.violations.push_back(std::move(v));
+    std::ostringstream os;
+    os << "serialization graph cycle of length " << v.cycle.size() << " ("
+       << scc.size() << " txns entangled" << tail;
+    v.message = os.str();
+    report.violations.push_back(std::move(v));
+  };
+  std::vector<std::vector<NodeIndex>> full_sccs = NontrivialSccs(g.adj);
+  if (full_sccs.empty() || !HasWeakEdge(g.adj)) {
+    for (const auto& scc : full_sccs) report_cycle(g.adj, scc, false, ")");
+    return report;
+  }
+  Adjacency strong = StrongSubgraph(g.adj);
+  std::vector<int> in_strong_scc(g.nodes.size(), 0);
+  for (const std::vector<NodeIndex>& scc : NontrivialSccs(strong)) {
+    for (NodeIndex n : scc) in_strong_scc[static_cast<size_t>(n)] = 1;
+    report_cycle(strong, scc, false, "; validated edges only)");
+  }
+  for (const std::vector<NodeIndex>& scc : full_sccs) {
+    bool has_strong = false;
+    for (NodeIndex n : scc) {
+      if (in_strong_scc[static_cast<size_t>(n)]) has_strong = true;
     }
-  } else {
-    for (const std::vector<NodeIndex>& scc : full_sccs) {
-      Violation v;
-      v.kind = ViolationKind::kCycle;
-      v.cycle = ShortestCycle(g, scc);
-      for (const WitnessEdge& e : v.cycle) {
-        v.txns.push_back(e.from);
-        v.keys.push_back(e.key);
-      }
-      std::ostringstream os;
-      os << "serialization graph cycle of length " << v.cycle.size() << " ("
-         << scc.size() << " txns entangled)";
-      v.message = os.str();
-      report.violations.push_back(std::move(v));
-    }
+    if (has_strong) continue;  // already reported from the strong graph
+    report_cycle(g.adj, scc, true,
+                 ") through weak-isolation unvalidated reads");
   }
   return report;
 }
