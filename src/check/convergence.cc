@@ -59,8 +59,7 @@ std::string ConvergenceReport::Summary() const {
 }
 
 ConvergenceReport CheckConvergence(const std::vector<ReplicaState>& replicas,
-                                   const History* history,
-                                   const ConvergenceOptions& options) {
+                                   const History* history) {
   ConvergenceReport report;
   if (replicas.empty()) return report;
 
@@ -89,7 +88,7 @@ ConvergenceReport CheckConvergence(const std::vector<ReplicaState>& replicas,
     }
   }
 
-  if (history == nullptr || !options.check_against_history) return report;
+  if (history == nullptr) return report;
 
   std::map<Key, ExpectedKey> expected;
   for (const SeededKey& seed : history->seeds()) {

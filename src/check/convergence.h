@@ -33,12 +33,6 @@ struct ReplicaState {
   std::map<Key, RecordView> snapshot;
 };
 
-struct ConvergenceOptions {
-  /// Check final state against the history's version chains and delta sums.
-  /// Disable when no history was recorded (pure pairwise comparison).
-  bool check_against_history = true;
-};
-
 /// One convergence violation.
 struct ConvergenceViolation {
   enum class Kind { kDivergence, kChainMismatch, kDeltaMismatch };
@@ -57,12 +51,11 @@ struct ConvergenceReport {
   std::string Summary() const;
 };
 
-/// Checks pairwise equality of the live replicas and, when enabled and a
-/// history is given, the final state against it. `replicas` must be
-/// non-empty (exclude crashed replicas before calling).
+/// Checks pairwise equality of the live replicas and, when a history is
+/// given, the final state against it. `replicas` must be non-empty
+/// (exclude crashed replicas before calling).
 ConvergenceReport CheckConvergence(const std::vector<ReplicaState>& replicas,
-                                   const History* history = nullptr,
-                                   const ConvergenceOptions& options = {});
+                                   const History* history = nullptr);
 
 }  // namespace planet
 

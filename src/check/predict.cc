@@ -8,6 +8,13 @@
 #include "check/dsg.h"
 
 namespace planet {
+namespace {
+
+/// Upper bound on (reader, key) candidates examined before ranking; guards
+/// the O(candidates * E) reachability pass on huge histories.
+constexpr size_t kMaxCandidates = 4096;
+
+}  // namespace
 
 std::string DelayDirective::ToString() const {
   std::ostringstream os;
@@ -61,7 +68,7 @@ std::vector<PredictedViolation> PredictReorderings(
     if (reader.isolation == IsolationLevel::kSerializable) continue;
     if (reader.client_node == kInvalidNodeId) continue;
     for (const RecordedRead& r : reader.reads) {
-      if (examined >= options.max_candidates) break;
+      if (examined >= kMaxCandidates) break;
       if (r.at == 0) continue;  // pre-mode history: no ordering info
       if (r.version == 0) continue;
       if (WritesPhysically(reader, r.key)) continue;
@@ -122,7 +129,7 @@ std::vector<PredictedViolation> PredictReorderings(
         c.gap = r.at > writer.decide ? r.at - writer.decide
                                      : writer.decide - r.at;
         Duration lead = r.at > writer.begin ? r.at - writer.begin : 0;
-        c.delay = lead + options.margin;
+        c.delay = lead + kPredictionDelayMargin;
 
         // Witness: W -> ... -> hit [-> T via added wr] and T -rw-> W.
         c.cycle = WitnessPath(g, parent, w, via_added_wr ? hit : t);

@@ -4,10 +4,11 @@
 // weak-isolation transaction performed could have returned *older*
 // committed versions had a concurrent writer's commit been submitted a
 // little later. The predictor enumerates those feasible visibility
-// reassignments, patches the serialization graph accordingly, and keeps
-// the ones that close a dependency cycle — each is a concrete prediction
-// "delay writer W by D and transaction T's read of key k observes the
-// predecessor version, producing an unserializable execution".
+// reassignments, patches the checker's serialization graph accordingly,
+// and keeps the ones that close a dependency cycle — each is a concrete
+// prediction "delay writer W by D and transaction T's read of key k
+// observes the predecessor version, producing an unserializable
+// execution".
 //
 // Every prediction carries a replayable schedule perturbation: a set of
 // delay directives (TxnId -> commit-submission delay) that the fuzzer
@@ -62,15 +63,13 @@ struct PredictedViolation {
   std::string ToString() const;
 };
 
+/// Safety slack added to every delay so the perturbed replay's shifted
+/// timings still land the writer's submission after the read.
+inline constexpr Duration kPredictionDelayMargin = Millis(25);
+
 struct PredictOptions {
-  /// Safety slack added to every delay so the perturbed replay's shifted
-  /// timings still land the writer's submission after the read.
-  Duration margin = Millis(25);
   /// Upper bound on emitted predictions (closest-gap first).
   size_t max_predictions = 8;
-  /// Upper bound on (reader, key) candidates examined before ranking;
-  /// guards the O(candidates * E) reachability pass on huge histories.
-  size_t max_candidates = 4096;
 };
 
 /// Enumerates predicted unserializable reorderings of `history`.

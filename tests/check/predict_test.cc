@@ -75,8 +75,7 @@ TEST(Predict, LatentWriteSkewYieldsOnePrediction) {
   ASSERT_EQ(p[0].directives.size(), 1u);
   EXPECT_EQ(p[0].directives[0].txn, 2u);
   // Delay spans read_at (300) minus writer begin (50) plus the margin.
-  PredictOptions defaults;
-  EXPECT_EQ(p[0].directives[0].delay, 250 + defaults.margin);
+  EXPECT_EQ(p[0].directives[0].delay, 250 + kPredictionDelayMargin);
   EXPECT_FALSE(p[0].cycle.empty());
   EXPECT_EQ(p[0].cycle.back().kind, 'a');
   EXPECT_EQ(p[0].cycle.back().to, 2u);
