@@ -258,11 +258,8 @@ void PlanetClient::ResolveFinal(TxnId txn, Status status) {
 
   PlanetStats& stats = ctx_->stats();
   bool committed = status.ok();
-  Duration total = db_->Now() - state->begin;
-  stats.final_latency.Record(total);
   if (committed) {
     ++stats.committed;
-    stats.commit_latency.Record(total);
   } else if (status.IsUnavailable()) {
     ++stats.unavailable;
   } else {
@@ -294,14 +291,12 @@ void PlanetClient::NotifyUser(TxnState& state, Status status,
                               bool speculative) {
   if (state.user_notified) return;
   state.user_notified = true;
-  Duration user_latency = db_->Now() - state.begin;
-  ctx_->stats().user_latency.Record(user_latency);
   if (state.user_cb) {
     Outcome outcome;
     outcome.status = std::move(status);
     outcome.speculative = speculative;
     outcome.early_abort = state.early_aborted;
-    outcome.user_latency = user_latency;
+    outcome.user_latency = db_->Now() - state.begin;
     auto cb = std::move(state.user_cb);
     cb(outcome);
   }

@@ -6,7 +6,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "common/histogram.h"
 #include "mdcc/client.h"
 #include "planet/predictor.h"
 #include "planet/transaction.h"
@@ -28,10 +27,6 @@ struct PlanetStats {
   /// F11); every early abort is also counted in `aborted`.
   uint64_t early_aborts = 0;
 
-  Histogram commit_latency;  ///< Begin -> definitive commit (committed only)
-  Histogram final_latency;   ///< Begin -> definitive outcome (all)
-  Histogram user_latency;    ///< Begin -> first user notification
-
   /// Reliability diagram of the prior (at-submit) likelihood predictions.
   CalibrationTracker calibration{10};
 
@@ -43,8 +38,8 @@ struct PlanetStats {
     return speculated == 0 ? 0.0 : double(apologies) / double(speculated);
   }
 
-  /// Zeroes every counter and histogram (keeps the learned models alive;
-  /// used to discard warm-up phases in experiments).
+  /// Zeroes every counter and the calibration (keeps the learned models
+  /// alive; used to discard warm-up phases in experiments).
   void Reset() {
     int buckets = static_cast<int>(calibration.Buckets().size());
     *this = PlanetStats{};

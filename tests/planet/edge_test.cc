@@ -154,7 +154,6 @@ TEST(PlanetEdge, StatsResetKeepsModels) {
   stats.Reset();
   EXPECT_EQ(stats.committed, 0u);
   EXPECT_EQ(stats.started, 0u);
-  EXPECT_EQ(stats.user_latency.count(), 0u);
   EXPECT_EQ(stats.calibration.total(), 0u);
   EXPECT_EQ(cluster.context().latency_model().total_samples(), samples)
       << "Reset discards counters, not learned models";

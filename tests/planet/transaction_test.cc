@@ -231,8 +231,6 @@ TEST(PlanetTxn, StatsAccumulateAcrossTransactions) {
   const PlanetStats& stats = cluster.context().stats();
   EXPECT_EQ(stats.started, 8u);
   EXPECT_EQ(stats.committed, 8u);
-  EXPECT_EQ(stats.commit_latency.count(), 8u);
-  EXPECT_EQ(stats.user_latency.count(), 8u);
   EXPECT_GT(stats.calibration.total(), 0u);
 }
 

