@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -175,24 +176,28 @@ bool FaultSchedule::Parse(const std::string& spec, FaultSchedule* out,
       return fail("fault event missing time: " + item);
     }
     char* end = nullptr;
-    double seconds = std::strtod(field.c_str(), &end);
-    if (end == field.c_str() || *end != '\0' || seconds < 0) {
+    double micros = std::strtod(field.c_str(), &end) * 1e6;
+    // Rejects nan and inf too, and any time SimTime cannot hold.
+    if (end == field.c_str() || *end != '\0' || !(micros >= 0) ||
+        micros >= static_cast<double>(std::numeric_limits<SimTime>::max())) {
       return fail("bad fault time: " + item);
     }
-    event.at = static_cast<SimTime>(seconds * 1e6);
+    event.at = static_cast<SimTime>(micros);
     // DC
     if (!std::getline(fields, field, ':') || field.empty()) {
       return fail("fault event missing dc: " + item);
     }
     long dc = std::strtol(field.c_str(), &end, 10);
-    if (end == field.c_str() || *end != '\0' || dc < 0) {
+    if (end == field.c_str() || *end != '\0' || dc < 0 ||
+        dc > std::numeric_limits<DcId>::max()) {
       return fail("bad fault dc: " + item);
     }
     event.dc = static_cast<DcId>(dc);
     // Optional EXTRA_MS (spikes only)
     if (std::getline(fields, field, ':')) {
       long ms = std::strtol(field.c_str(), &end, 10);
-      if (end == field.c_str() || *end != '\0' || ms <= 0) {
+      if (end == field.c_str() || *end != '\0' || ms <= 0 ||
+          ms > std::numeric_limits<Duration>::max() / Millis(1)) {
         return fail("bad spike latency: " + item);
       }
       if (event.kind != FaultKind::kSpikeDc) {

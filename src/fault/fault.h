@@ -76,7 +76,8 @@ class FaultSchedule {
   ///   kind@SECONDS:DC[:EXTRA_MS]
   /// with kind in {crash, restart, partition, heal, spike, clearspike}.
   /// Example: "crash@20:1,restart@50:1,spike@30:2:250,clearspike@60:2".
-  /// Returns false and fills *error on malformed input.
+  /// SECONDS must be finite and DC and EXTRA_MS must fit their types once
+  /// converted. Returns false and fills *error on malformed input.
   static bool Parse(const std::string& spec, FaultSchedule* out,
                     std::string* error);
 

@@ -1,6 +1,7 @@
 #include "harness/sweep.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,7 +50,9 @@ bool ParseFlagNumber(const std::string& flag, const char* text, T* out,
   T value{};
   const char* end = text + std::strlen(text);
   auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec == std::errc() && ptr == end && value >= min) {  // NaN fails too
+  bool finite = true;  // from_chars reads "inf" and "nan" into a double
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
+  if (ec == std::errc() && ptr == end && finite && value >= min) {
     *out = value;
     return true;
   }

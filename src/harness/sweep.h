@@ -36,8 +36,8 @@ struct SweepOptions {
 SweepOptions ParseSweepArgs(int argc, char** argv, const std::string& bench_id);
 
 /// The numeric flag parser of every command-line tool: all of `text` must
-/// be one base-10 number of T's type no smaller than `min` (counts pass 1,
-/// durations 0). Otherwise this prints "FLAG wants ..., got 'TEXT'" to
+/// be one finite base-10 number of T's type no smaller than `min` (counts
+/// pass 1, durations 0). Otherwise this prints "FLAG wants ..., got 'TEXT'" to
 /// stderr and returns false; atoi and strtoull would read "abc" as 0 and
 /// "1x" as 1. Defined for int, int64_t, uint64_t and double.
 template <typename T>

@@ -44,15 +44,20 @@ TEST(FaultSchedule, ParsesSemicolonsFractionsAndSpikes) {
 
 TEST(FaultSchedule, ParseRejectsMalformedSpecs) {
   const char* bad[] = {
-      "explode@5:0",      // unknown kind
-      "crash5:0",         // missing @
-      "crash@:0",         // missing time
-      "crash@-5:0",       // negative time
-      "crash@5",          // missing dc
-      "crash@5:x",        // non-numeric dc
-      "crash@5:0:100",    // extra latency on a non-spike event
-      "spike@5:0",        // spike without latency
-      "spike@5:0:0",      // zero spike latency
+      "explode@5:0",                    // unknown kind
+      "crash5:0",                       // missing @
+      "crash@:0",                       // missing time
+      "crash@-5:0",                     // negative time
+      "crash@5",                        // missing dc
+      "crash@5:x",                      // non-numeric dc
+      "crash@5:0:100",                  // extra latency on a non-spike event
+      "spike@5:0",                      // spike without latency
+      "spike@5:0:0",                    // zero spike latency
+      "crash@nan:0",                    // not a finite time
+      "crash@inf:0",                    // not a finite time
+      "crash@1e300:0",                  // microseconds overflow SimTime
+      "crash@5:4294967297",             // dc overflows DcId
+      "spike@5:0:9223372036854775807",  // microseconds overflow Duration
   };
   for (const char* spec : bad) {
     FaultSchedule faults;

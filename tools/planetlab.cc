@@ -191,13 +191,28 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--kill-confirm") {
       if (!ParseFlagNumber(a, need(i), &args->kill_confirm, 1)) return false;
     } else if (a == "--spike") {
-      int dc = 0, start = 0, end = 0, extra_ms = 0;
-      if (sscanf(need(i), "%d:%d:%d:%d", &dc, &start, &end, &extra_ms) != 4) {
-        std::fprintf(stderr, "--spike wants DC:START:END:MS\n");
-        return false;
+      // DC:START:END:MS, each field a strict number; the last takes the
+      // rest of the value, so a fifth field fails to parse.
+      std::string spec = need(i);
+      const char* names[] = {"--spike DC", "--spike START", "--spike END",
+                             "--spike MS"};
+      int field[4] = {};
+      size_t pos = 0;
+      for (int f = 0; f < 4; ++f) {
+        size_t colon = f == 3 ? spec.size() : spec.find(':', pos);
+        if (colon == std::string::npos) {
+          std::fprintf(stderr, "--spike wants DC:START:END:MS, got '%s'\n",
+                       spec.c_str());
+          return false;
+        }
+        std::string text = spec.substr(pos, colon - pos);
+        if (!ParseFlagNumber(names[f], text.c_str(), &field[f], 0)) {
+          return false;
+        }
+        pos = colon + 1;
       }
-      spikes.SpikeDc(Seconds(start), dc, Millis(extra_ms))
-          .ClearSpikeDc(Seconds(end), dc);
+      spikes.SpikeDc(Seconds(field[1]), field[0], Millis(field[3]))
+          .ClearSpikeDc(Seconds(field[2]), field[0]);
     } else if (a == "--fault") {
       args->fault_spec = need(i);
       std::string error;
