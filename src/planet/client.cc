@@ -291,6 +291,7 @@ void PlanetClient::NotifyUser(TxnState& state, Status status,
                               bool speculative) {
   if (state.user_notified) return;
   state.user_notified = true;
+  ++ctx_->stats().notified;
   if (state.user_cb) {
     Outcome outcome;
     outcome.status = std::move(status);

@@ -23,6 +23,9 @@ struct PlanetStats {
   uint64_t speculation_correct = 0;
   uint64_t apologies = 0;
   uint64_t gave_up = 0;
+  /// User notifications (speculative, give-up, rejection or final); at
+  /// most one per transaction.
+  uint64_t notified = 0;
   /// Transactions killed by the predictive early-abort path (experiment
   /// F11); every early abort is also counted in `aborted`.
   uint64_t early_aborts = 0;

@@ -231,6 +231,7 @@ TEST(PlanetTxn, StatsAccumulateAcrossTransactions) {
   const PlanetStats& stats = cluster.context().stats();
   EXPECT_EQ(stats.started, 8u);
   EXPECT_EQ(stats.committed, 8u);
+  EXPECT_EQ(stats.notified, 8u);
   EXPECT_GT(stats.calibration.total(), 0u);
 }
 

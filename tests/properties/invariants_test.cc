@@ -197,6 +197,9 @@ TEST_P(PlanetInvariants, SpeculationAccountingConsistent) {
   EXPECT_EQ(stats.aborted, metrics.aborted);
   EXPECT_EQ(stats.unavailable, metrics.unavailable);
   EXPECT_EQ(stats.admission_rejected, metrics.rejected);
+  // User notifications: every finished txn (including admission rejections)
+  // is notified exactly once.
+  EXPECT_EQ(stats.notified, metrics.finished());
   // Speculative user notifications observed by the driver match the stats.
   EXPECT_EQ(metrics.speculative_notifications, stats.speculated);
   // Cluster state stays sound under the PLANET layer too.
