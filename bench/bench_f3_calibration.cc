@@ -43,13 +43,11 @@ int main(int argc, char** argv) {
     ClusterOptions options;
     options.seed = 31;
     options.clients_per_dc = 3;
-    options.planet.calibration_buckets = 10;
     Cluster cluster(options);
 
     F3Result result;
     PlanetRunnerPolicy policy;
     policy.midflight_tracker = &result.midflight;
-    policy.midflight_votes_fraction = 0.4;
     bench::RunPlanet(cluster, MakeWorkload(), Seconds(600), policy);
     result.prior = cluster.context().stats().calibration;
     result.stats = cluster.context().stats();
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
     ClusterOptions options;
     options.seed = 31;
     options.clients_per_dc = 3;
-    options.planet.calibration_buckets = 10;
     options.planet.use_option_level_model = false;
     Cluster cluster(options);
 

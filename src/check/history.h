@@ -129,11 +129,6 @@ class History {
     return n;
   }
 
-  void Clear() {
-    txns_.clear();
-    seeds_.clear();
-  }
-
  private:
   std::vector<RecordedTxn> txns_;
   std::vector<SeededKey> seeds_;

@@ -29,25 +29,6 @@ bool ParseIsolationLevel(const std::string& text, IsolationLevel* out) {
 namespace logging {
 namespace {
 
-LogLevel g_level = LogLevel::kWarn;
-std::function<SimTime()> g_time_source;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO ";
-    case LogLevel::kWarn:
-      return "WARN ";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF  ";
-  }
-  return "?????";
-}
-
 const char* Basename(const char* path) {
   const char* base = path;
   for (const char* p = path; *p != '\0'; ++p) {
@@ -57,19 +38,6 @@ const char* Basename(const char* path) {
 }
 
 }  // namespace
-
-void SetLevel(LogLevel level) { g_level = level; }
-LogLevel GetLevel() { return g_level; }
-
-void SetTimeSource(std::function<SimTime()> source) {
-  g_time_source = std::move(source);
-}
-
-void Emit(LogLevel level, const char* file, int line, const std::string& msg) {
-  std::string stamp = g_time_source ? FormatSimTime(g_time_source()) : "--";
-  std::fprintf(stderr, "[%s %s %s:%d] %s\n", LevelName(level), stamp.c_str(),
-               Basename(file), line, msg.c_str());
-}
 
 void CheckFailed(const char* file, int line, const char* expr,
                  const std::string& msg) {

@@ -1,13 +1,9 @@
-// Minimal leveled logging + invariant checking for the library.
-//
-// The simulator installs a time source so that log lines carry simulated
-// timestamps. PLANET_CHECK aborts the process on violated invariants; it is
-// active in all build types because protocol invariants must never be
-// silently violated.
+// Invariant checking for the library. PLANET_CHECK aborts the process on
+// violated invariants; it is active in all build types because protocol
+// invariants must never be silently violated.
 #ifndef PLANET_COMMON_LOGGING_H_
 #define PLANET_COMMON_LOGGING_H_
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -15,42 +11,13 @@
 
 namespace planet {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
 namespace logging {
-
-/// Global minimum level; lines below it are compiled but skipped.
-void SetLevel(LogLevel level);
-LogLevel GetLevel();
-
-/// Installs a simulated-time source used to stamp log lines (nullptr resets
-/// to wall-clock-free "--" stamps).
-void SetTimeSource(std::function<SimTime()> source);
-
-/// Emits one formatted line to stderr. Used by the macros below.
-void Emit(LogLevel level, const char* file, int line, const std::string& msg);
 
 /// Aborts with a formatted invariant-violation message.
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
                               const std::string& msg);
 
 }  // namespace logging
-
-#define PLANET_LOG(level, ...)                                            \
-  do {                                                                    \
-    if (static_cast<int>(level) >=                                        \
-        static_cast<int>(::planet::logging::GetLevel())) {                \
-      std::ostringstream planet_log_oss_;                                 \
-      planet_log_oss_ << __VA_ARGS__;                                     \
-      ::planet::logging::Emit(level, __FILE__, __LINE__,                  \
-                              planet_log_oss_.str());                     \
-    }                                                                     \
-  } while (0)
-
-#define PLANET_DEBUG(...) PLANET_LOG(::planet::LogLevel::kDebug, __VA_ARGS__)
-#define PLANET_INFO(...) PLANET_LOG(::planet::LogLevel::kInfo, __VA_ARGS__)
-#define PLANET_WARN(...) PLANET_LOG(::planet::LogLevel::kWarn, __VA_ARGS__)
-#define PLANET_ERROR(...) PLANET_LOG(::planet::LogLevel::kError, __VA_ARGS__)
 
 /// Invariant check, active in every build type.
 #define PLANET_CHECK(expr)                                                  \

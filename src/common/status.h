@@ -1,8 +1,7 @@
-// Status / Result error handling, RocksDB-style. The library does not throw.
+// Status error handling, RocksDB-style. The library does not throw.
 #ifndef PLANET_COMMON_STATUS_H_
 #define PLANET_COMMON_STATUS_H_
 
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -80,29 +79,6 @@ class [[nodiscard]] Status {
 
   StatusCode code_;
   std::string msg_;
-};
-
-/// A value or an error. Minimal Result type; access to value() requires ok().
-template <typename T>
-class [[nodiscard]] Result {
- public:
-  Result(T value) : status_(Status::OK()), value_(std::move(value)) {}  // NOLINT
-  Result(Status status) : status_(std::move(status)) {}                 // NOLINT
-
-  bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
-
-  const T& value() const& { return *value_; }
-  T& value() & { return *value_; }
-  T&& value() && { return std::move(*value_); }
-
-  const T& value_or(const T& fallback) const {
-    return ok() ? *value_ : fallback;
-  }
-
- private:
-  Status status_;
-  std::optional<T> value_;
 };
 
 }  // namespace planet

@@ -33,10 +33,6 @@ using Value = int64_t;
 /// Monotonically increasing version of a committed record.
 using Version = uint64_t;
 
-/// Paxos ballot number. Encodes (round, proposer) as round * kBallotStride +
-/// proposer so that ballots from distinct proposers never collide.
-using Ballot = int64_t;
-
 inline constexpr SimTime kSimTimeMax = std::numeric_limits<SimTime>::max();
 inline constexpr TxnId kInvalidTxnId = 0;
 inline constexpr NodeId kInvalidNodeId = -1;

@@ -127,6 +127,14 @@ Status FaultSchedule::Validate(int num_dcs) const {
         break;
     }
   }
+  // A run with a permanent cut never drains: replicas on both sides keep
+  // re-querying decisions only the other side knows.
+  for (size_t dc = 0; dc < cut.size(); ++dc) {
+    if (cut[dc]) {
+      return Status::InvalidArgument("partition of dc" + std::to_string(dc) +
+                                     " never heals");
+    }
+  }
   return Status::OK();
 }
 

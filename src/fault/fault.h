@@ -69,7 +69,8 @@ class FaultSchedule {
   std::vector<FaultEvent> Sorted() const;
 
   /// Sanity checks against a cluster size: DCs in range, restarts paired
-  /// with a preceding crash (and vice versa), crash durations well formed.
+  /// with a preceding crash (and vice versa), every partition healed later
+  /// (a crash may stay open), spikes with a positive extra latency.
   [[nodiscard]] Status Validate(int num_dcs) const;
 
   /// Parses a flag-style schedule: comma- or semicolon-separated events

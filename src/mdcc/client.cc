@@ -66,7 +66,7 @@ Client::TxnBuffer* Client::FindExecuting(TxnId txn) {
 void Client::Forget(TxnId txn) { txns_.erase(txn); }
 
 void Client::SendRead(std::shared_ptr<PendingRead> read) {
-  if (global_send_listener_) global_send_listener_(dc_);
+  if (observer_ != nullptr) observer_->OnSend(dc_);
   Replica* replica = local_replica();
   NodeId replica_id = replica->id();
   net_->Send(id_, replica_id,
@@ -128,7 +128,6 @@ bool Client::KillInFlight(TxnId txn) {
     return false;
   }
   state->early_killed = true;
-  ++early_kills_;
   Decide(*state, false, Status::Aborted("predicted doom (early abort)"),
          /*early_kill=*/true);
   return true;
@@ -160,7 +159,7 @@ void Client::ProposeFast(TxnState& state) {
       Replica* replica = replicas_[static_cast<size_t>(d)];
       NodeId replica_id = replica->id();
       ++state.outstanding_replies;
-      if (global_send_listener_) global_send_listener_(d);
+      if (observer_ != nullptr) observer_->OnSend(d);
       SimTime sent = Now();
       net_->Send(id_, replica_id, [this, replica, replica_id, option, d,
                                    sent] {
@@ -173,10 +172,7 @@ void Client::ProposeFast(TxnState& state) {
                 event.key = option.key;
                 event.replica_dc = d;
                 event.accepted = reply.accepted;
-                event.stale = reply.stale;
-                event.conflict = reply.conflict;
                 event.rtt = Now() - sent;
-                event.fast_path = true;
                 OnVoteEvent(event);
               });
             });
@@ -186,11 +182,12 @@ void Client::ProposeFast(TxnState& state) {
 }
 
 void Client::OnVoteEvent(const VoteEvent& event) {
-  if (global_vote_listener_) global_vote_listener_(event);
   TxnState* state = Find(event.txn);
-  if (state == nullptr) return;
-  --state->outstanding_replies;
-  OptionProgress* op = FindOption(*state, event.key);
+  OptionProgress* op = nullptr;
+  if (state != nullptr) {
+    --state->outstanding_replies;
+    op = FindOption(*state, event.key);
+  }
   if (op != nullptr) {
     op->votes[static_cast<size_t>(event.replica_dc)] = event.accepted ? 1 : 0;
     if (event.accepted) {
@@ -198,26 +195,26 @@ void Client::OnVoteEvent(const VoteEvent& event) {
     } else {
       ++op->rejects;
     }
-    if (state->observer.on_vote) state->observer.on_vote(event);
-    // A killed transaction's options stop driving the state machine: the
-    // observer above may have just fired KillInFlight, and starting a
-    // classic fallback for a dead transaction would only burn a master
-    // round. Vanilla runs never set early_killed, so the path is unchanged.
-    if (!op->decided && !op->classic_inflight && !state->early_killed) {
-      if (op->accepts >= config_.FastQuorum()) {
-        OnOptionDecided(*state, *op, /*chosen=*/true, /*via_classic=*/false);
-      } else if (op->rejects > config_.num_dcs - config_.FastQuorum()) {
-        // Fast quorum unreachable.
-        if (config_.enable_classic) {
-          StartClassic(*state, *op);
-        } else {
-          OnOptionDecided(*state, *op, /*chosen=*/false,
-                          /*via_classic=*/false);
-        }
+  }
+  if (observer_ != nullptr) observer_->OnVote(event, op != nullptr);
+  // A killed transaction's options stop driving the state machine: the
+  // observer above may have just fired KillInFlight, and starting a classic
+  // fallback for a dead transaction would only burn a master round. Vanilla
+  // runs never set early_killed, so the path is unchanged.
+  if (op != nullptr && !op->decided && !op->classic_inflight &&
+      !state->early_killed) {
+    if (op->accepts >= config_.FastQuorum()) {
+      OnOptionDecided(*state, *op, /*chosen=*/true, /*via_classic=*/false);
+    } else if (op->rejects > config_.num_dcs - config_.FastQuorum()) {
+      // Fast quorum unreachable.
+      if (config_.enable_classic) {
+        StartClassic(*state, *op);
+      } else {
+        OnOptionDecided(*state, *op, /*chosen=*/false, /*via_classic=*/false);
       }
     }
   }
-  MaybeGc(event.txn);
+  if (state != nullptr) MaybeGc(event.txn);
 }
 
 void Client::StartClassic(TxnState& state, OptionProgress& op) {
@@ -242,7 +239,7 @@ void Client::StartClassic(TxnState& state, OptionProgress& op) {
   Replica* master = replicas_[static_cast<size_t>(master_dc)];
   NodeId master_id = master->id();
   ++state.outstanding_replies;
-  if (global_send_listener_) global_send_listener_(master_dc);
+  if (observer_ != nullptr) observer_->OnSend(master_dc);
 
   TxnId txn = state.view.id;
   if (config_.master_failover_timeout > 0) {
@@ -252,27 +249,21 @@ void Client::StartClassic(TxnState& state, OptionProgress& op) {
                          OnClassicFailover(txn, key, epoch);
                        });
   }
-  SimTime sent = Now();
-  net_->Send(id_, master_id,
-             [this, master, master_id, master_dc, option, epoch, sent] {
+  net_->Send(id_, master_id, [this, master, master_id, master_dc, option,
+                               epoch] {
     master->HandleClassicPropose(
         option, id_,
-        [this, master_id, master_dc, option, epoch, sent](ClassicReply r) {
-          net_->Send(master_id, id_,
-                     [this, master_dc, option, epoch, r, sent] {
-            OnClassicResult(option.txn, option.key, epoch, master_dc, r,
-                            Now() - sent);
+        [this, master_id, master_dc, option, epoch](ClassicReply r) {
+          net_->Send(master_id, id_, [this, master_dc, option, epoch, r] {
+            OnClassicResult(option.txn, option.key, epoch, master_dc, r);
           });
         });
   });
 }
 
 void Client::OnClassicResult(TxnId txn, Key key, int attempt_epoch,
-                             DcId master_dc, ClassicReply result,
-                             Duration rtt) {
-  if (global_classic_listener_) {
-    global_classic_listener_(master_dc, result.chosen, rtt);
-  }
+                             DcId master_dc, ClassicReply result) {
+  if (observer_ != nullptr) observer_->OnClassicReply(master_dc);
   size_t group = static_cast<size_t>(config_.MasterOf(key));
   if (result.epoch_hint > group_epoch_[group]) {
     group_epoch_[group] = result.epoch_hint;
@@ -343,11 +334,8 @@ void Client::OnOptionDecided(TxnState& state, OptionProgress& op, bool chosen,
   op.chosen = chosen;
   op.via_classic = via_classic;
   ++state.options_decided;
-  if (global_option_listener_) {
-    global_option_listener_(op.option.key, chosen, via_classic);
-  }
-  if (state.observer.on_option_decided) {
-    state.observer.on_option_decided(op.option.key, chosen, via_classic);
+  if (observer_ != nullptr) {
+    observer_->OnOptionDecided(state.view.id, op.option.key, chosen);
   }
   if (state.done) return;
   if (!chosen) {
@@ -433,7 +421,7 @@ void Client::Decide(TxnState& state, bool commit, Status outcome,
 
 void Client::SetPhase(TxnState& state, TxnPhase phase) {
   state.view.phase = phase;
-  if (state.observer.on_phase) state.observer.on_phase(phase);
+  if (observer_ != nullptr) observer_->OnPhase(state.view.id, phase);
 }
 
 void Client::MaybeGc(TxnId txn) {
@@ -456,28 +444,6 @@ std::vector<WriteOption> Client::PendingWrites(TxnId txn) const {
 const TxnView* Client::View(TxnId txn) const {
   auto it = txns_.find(txn);
   return it == txns_.end() ? nullptr : &it->second.view;
-}
-
-void Client::SetObserver(TxnId txn, TxnObserver observer) {
-  TxnState* state = Find(txn);
-  PLANET_CHECK(state != nullptr);
-  state->observer = std::move(observer);
-}
-
-void Client::SetGlobalVoteListener(VoteListener listener) {
-  global_vote_listener_ = std::move(listener);
-}
-
-void Client::SetGlobalOptionListener(OptionListener listener) {
-  global_option_listener_ = std::move(listener);
-}
-
-void Client::SetGlobalSendListener(SendListener listener) {
-  global_send_listener_ = std::move(listener);
-}
-
-void Client::SetGlobalClassicListener(ClassicListener listener) {
-  global_classic_listener_ = std::move(listener);
 }
 
 }  // namespace planet

@@ -9,19 +9,17 @@
 // unreachable. The transaction commits iff every option is chosen; the
 // decision is broadcast as a Visibility message.
 //
-// Observability: every vote, option decision and phase change is surfaced
-// through TxnObserver — this is the substrate for PLANET's progress
-// callbacks and commit-likelihood prediction. A global vote listener
-// additionally sees every vote (including votes that arrive after the
-// transaction has been decided), feeding the predictor's latency/conflict
-// models.
+// Observability: every send, vote, classic reply, option decision and phase
+// change is surfaced through one ClientObserver — the substrate for PLANET's
+// progress callbacks and commit-likelihood prediction. The observer sees
+// every vote, including votes that arrive after the transaction has been
+// decided, feeding the predictor's latency/conflict models.
 #ifndef PLANET_MDCC_CLIENT_H_
 #define PLANET_MDCC_CLIENT_H_
 
 #include <unordered_map>
 #include <vector>
 
-#include "common/inline_function.h"
 #include "mdcc/config.h"
 #include "mdcc/replica.h"
 #include "txn/coordinator.h"
@@ -45,10 +43,7 @@ struct VoteEvent {
   Key key = 0;
   DcId replica_dc = 0;
   bool accepted = false;
-  bool stale = false;     ///< rejected: version mismatch / bounds / decided
-  bool conflict = false;  ///< rejected: pending option of another txn
-  Duration rtt = 0;       ///< coordinator-observed round trip
-  bool fast_path = true;
+  Duration rtt = 0;  ///< coordinator-observed round trip
 };
 
 /// Coordinator-side progress of one option.
@@ -82,31 +77,37 @@ struct TxnView {
   std::vector<OptionProgress> options;
 };
 
-/// Hooks fired while a transaction is in flight. The hooks use the
-/// simulator's small-buffer callable (move-only), so installing an observer
-/// never allocates: every hook fires on the commit hot path. 32 bytes holds
-/// the [this, txn] captures PLANET installs with room to spare.
-struct TxnObserver {
-  InlineFunction<void(const VoteEvent&), 32> on_vote;
-  InlineFunction<void(Key key, bool chosen, bool via_classic), 32>
-      on_option_decided;
-  InlineFunction<void(TxnPhase phase), 32> on_phase;
+/// What a Client reports while its transactions run (the PLANET layer's
+/// feed). Every hook fires on the commit hot path, synchronously, inside
+/// the coordinator's own handler.
+class ClientObserver {
+ public:
+  virtual ~ClientObserver() = default;
+
+  /// A protocol request (read, fast accept, classic proposal) leaves for
+  /// `dc`.
+  virtual void OnSend(DcId dc) = 0;
+
+  /// An acceptor vote arrived. `counted` says it was tallied into a live
+  /// transaction's option; a late vote (transaction already collected) is
+  /// reported with counted = false. Fires after the tally and before the
+  /// quorum / fallback step, so the observer may kill the transaction.
+  virtual void OnVote(const VoteEvent& vote, bool counted) = 0;
+
+  /// A classic proposal's reply arrived from the master in `dc`.
+  virtual void OnClassicReply(DcId dc) = 0;
+
+  /// An option of `txn` was decided (chosen or not).
+  virtual void OnOptionDecided(TxnId txn, Key key, bool chosen) = 0;
+
+  /// `txn` entered `phase`.
+  virtual void OnPhase(TxnId txn, TxnPhase phase) = 0;
 };
 
 /// The client node. One per simulated application server; owns the
 /// coordinators of all transactions it begins. Not thread safe (simulated).
 class Client : public Coordinator {
  public:
-  /// Predictor-feed listeners fire on every vote / decision / send, so they
-  /// share the observers' no-allocation callable. The predictor installs
-  /// [this] lambdas; 32 bytes leaves headroom for a fatter consumer.
-  using VoteListener = InlineFunction<void(const VoteEvent&), 32>;
-  using OptionListener =
-      InlineFunction<void(Key key, bool chosen, bool via_classic), 32>;
-  using SendListener = InlineFunction<void(DcId dst_dc), 32>;
-  using ClassicListener =
-      InlineFunction<void(DcId master_dc, bool chosen, Duration rtt), 32>;
-
   Client(Simulator* sim, Network* net, NodeId id, DcId dc, Rng rng,
          const MdccConfig& config, std::vector<Replica*> replicas);
 
@@ -128,8 +129,6 @@ class Client : public Coordinator {
   /// the transaction is unknown, not yet submitted, or already decided.
   bool KillInFlight(TxnId txn);
 
-  uint64_t early_kills() const { return early_kills_; }
-
   /// Live view of a transaction; nullptr once it has been garbage collected
   /// (shortly after its decision).
   const TxnView* View(TxnId txn) const;
@@ -138,22 +137,9 @@ class Client : public Coordinator {
   /// estimate a prior commit likelihood before any message is sent.
   std::vector<WriteOption> PendingWrites(TxnId txn) const;
 
-  /// Installs per-transaction hooks (PLANET layer).
-  void SetObserver(TxnId txn, TxnObserver observer);
-
-  /// Sees every vote this client ever observes (predictor feed).
-  void SetGlobalVoteListener(VoteListener listener);
-
-  /// Sees every option decision (predictor feed: option-level outcomes).
-  void SetGlobalOptionListener(OptionListener listener);
-
-  /// Sees every protocol request this client sends, keyed by destination
-  /// DC (predictor feed: reachability probes).
-  void SetGlobalSendListener(SendListener listener);
-
-  /// Sees every classic-proposal reply with the master DC that answered
-  /// (predictor feed: reachability acks for masters that never fast-vote).
-  void SetGlobalClassicListener(ClassicListener listener);
+  /// Installs the observer of every transaction of this client (nullptr
+  /// removes it). `observer` must outlive the client or be removed first.
+  void SetObserver(ClientObserver* observer) { observer_ = observer; }
 
   /// This coordinator's view of a key group's mastership epoch.
   int group_epoch(int group) const {
@@ -174,7 +160,6 @@ class Client : public Coordinator {
  private:
   struct TxnState : TxnBuffer {
     TxnView view;
-    TxnObserver observer;
     EventId timeout_event = kInvalidEventId;
     int outstanding_replies = 0;
     int options_decided = 0;
@@ -200,7 +185,7 @@ class Client : public Coordinator {
   void StartClassic(TxnState& state, OptionProgress& op);
   void OnVoteEvent(const VoteEvent& event);
   void OnClassicResult(TxnId txn, Key key, int attempt_epoch, DcId master_dc,
-                       ClassicReply result, Duration rtt);
+                       ClassicReply result);
   /// Fires when a classic attempt got no reply within
   /// master_failover_timeout: bumps the group epoch and re-proposes to the
   /// next epoch's master.
@@ -218,10 +203,7 @@ class Client : public Coordinator {
   MdccConfig config_;
   std::vector<Replica*> replicas_;
   std::unordered_map<TxnId, TxnState> txns_;
-  VoteListener global_vote_listener_;
-  OptionListener global_option_listener_;
-  SendListener global_send_listener_;
-  ClassicListener global_classic_listener_;
+  ClientObserver* observer_ = nullptr;
   /// This coordinator's mastership-epoch view per key group. Advanced by
   /// failover timeouts and by epoch hints in classic replies; never moves
   /// backward, so a revived old master is simply not used again.
@@ -231,7 +213,6 @@ class Client : public Coordinator {
   uint64_t timed_out_ = 0;
   uint64_t classic_fallbacks_ = 0;
   uint64_t failovers_ = 0;
-  uint64_t early_kills_ = 0;
 };
 
 }  // namespace planet

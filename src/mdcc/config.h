@@ -6,6 +6,12 @@
 
 namespace planet {
 
+/// How long the per-record master queues a classic proposal behind a
+/// conflicting pending option before rejecting it. The queue is what makes
+/// the classic path a serialization point under contention (as in MDCC);
+/// the timeout breaks cross-key waiting chains (distributed deadlock).
+inline constexpr Duration kClassicQueueTimeout = Millis(500);
+
 /// Protocol parameters. One replica per data center; records are fully
 /// replicated; each record has one master replica used by the classic path.
 /// The timeouts and master placement come from StackConfig.
@@ -17,13 +23,6 @@ struct MdccConfig : StackConfig {
   /// Skip the fast path entirely and propose through the per-record master
   /// (measures the classic path in isolation; experiment F1).
   bool force_classic = false;
-
-  /// How long the per-record master queues a classic proposal behind a
-  /// conflicting pending option before rejecting it. The queue is what makes
-  /// the classic path a serialization point under contention (as in MDCC);
-  /// the timeout breaks cross-key waiting chains (distributed deadlock).
-  /// 0 disables queueing (immediate reject on conflict).
-  Duration classic_queue_timeout = Millis(500);
 
   /// Master failover: if a classic proposal gets no reply within this
   /// timeout the coordinator bumps the key group's mastership epoch and

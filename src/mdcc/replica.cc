@@ -18,57 +18,83 @@ void Replica::SetPeers(std::vector<Replica*> peers) {
 }
 
 
-void Replica::HandleFastAccept(const WriteOption& option, NodeId reply_to,
+void Replica::HandleFastAccept(const WriteOption& option, NodeId /*reply_to*/,
                                std::function<void(VoteReply)> reply) {
   Serve(config_.replica_service_cost,
-        [this, option, reply_to, reply = std::move(reply)]() mutable {
-          DoFastAccept(option, reply_to, std::move(reply));
+        [this, option, reply = std::move(reply)] {
+          ++fast_accept_requests_;
+          reply(TryAccept(option));
         });
 }
 
-void Replica::HandleClassicPropose(const WriteOption& option, NodeId reply_to,
+void Replica::HandleClassicPropose(const WriteOption& option,
+                                   NodeId /*reply_to*/,
                                    std::function<void(ClassicReply)> reply) {
   Serve(config_.replica_service_cost,
-        [this, option, reply_to, reply = std::move(reply)]() mutable {
-          DoClassicPropose(option, reply_to, std::move(reply));
+        [this, option, reply = std::move(reply)]() mutable {
+          ClassicPropose(option, std::move(reply));
         });
 }
 
-void Replica::HandleMasterAccept(const WriteOption& option, NodeId master,
+void Replica::HandleMasterAccept(const WriteOption& option, NodeId /*master*/,
                                  std::function<void(VoteReply)> reply) {
   Serve(config_.replica_service_cost,
-        [this, option, master, reply = std::move(reply)]() mutable {
-          DoMasterAccept(option, master, std::move(reply));
+        [this, option, reply = std::move(reply)] {
+          // Epoch bookkeeping mirrors the master side: adopt newer epochs,
+          // and refuse to co-sign a proposal whose epoch this acceptor knows
+          // to be superseded (the failed-over master is already serializing
+          // this group).
+          size_t group = static_cast<size_t>(config_.MasterOf(option.key));
+          if (option.epoch > group_epoch_[group]) {
+            group_epoch_[group] = option.epoch;
+          }
+          if (option.epoch < group_epoch_[group]) {
+            ++stale_epoch_rejects_;
+            VoteReply vote;
+            vote.stale = true;
+            reply(vote);
+            return;
+          }
+          reply(TryAccept(option));
         });
 }
 
 void Replica::HandleVisibility(TxnId txn, bool commit,
                                const std::vector<WriteOption>& options) {
   Serve(config_.replica_service_cost, [this, txn, commit, options] {
-    DoVisibility(txn, commit, options);
+    Learn(txn, commit, options);
+    // Amortized GC: drop decided entries old enough that no message for
+    // them can still be in flight.
+    if (decided_.size() > 100000) {
+      const SimTime horizon = Now() - 10 * config_.txn_timeout;
+      std::erase_if(decided_, [&](const auto& entry) {
+        return entry.second.when < horizon;
+      });
+    }
   });
 }
 
 void Replica::HandleAbortNotice(TxnId txn,
                                 const std::vector<WriteOption>& options) {
-  Serve(config_.replica_service_cost,
-        [this, txn, options] { DoAbortNotice(txn, options); });
+  Serve(config_.replica_service_cost, [this, txn, options] {
+    ++abort_notices_received_;
+    Learn(txn, /*commit=*/false, options);
+  });
 }
 
-void Replica::HandleRead(Key key, NodeId reply_to,
+void Replica::HandleRead(Key key, NodeId /*reply_to*/,
                          std::function<void(RecordView)> reply) {
-  Serve(config_.replica_service_cost,
-        [this, key, reply_to, reply = std::move(reply)]() mutable {
-          DoRead(key, reply_to, std::move(reply));
-        });
+  Serve(config_.replica_service_cost, [this, key, reply = std::move(reply)] {
+    reply(store_.Read(key));
+  });
 }
 
 void Replica::HandleReadSpeculative(  // planet-lint: allow(std-function-hot-path)
-    Key key, NodeId reply_to, std::function<void(RecordView, bool)> reply) {
-  Serve(config_.replica_service_cost,
-        [this, key, reply_to, reply = std::move(reply)]() mutable {
-          DoReadSpeculative(key, reply_to, std::move(reply));
-        });
+    Key key, NodeId, std::function<void(RecordView, bool)> reply) {
+  Serve(config_.replica_service_cost, [this, key, reply = std::move(reply)] {
+    SpeculativeView sv = store_.ReadSpeculative(key);
+    reply(sv.view, sv.speculative);
+  });
 }
 
 VoteReply Replica::TryAccept(const WriteOption& option) {
@@ -101,16 +127,8 @@ VoteReply Replica::TryAccept(const WriteOption& option) {
   return vote;
 }
 
-void Replica::DoFastAccept(const WriteOption& option, NodeId reply_to,
-                           std::function<void(VoteReply)> reply) {
-  (void)reply_to;
-  ++fast_accept_requests_;
-  reply(TryAccept(option));
-}
-
-void Replica::DoClassicPropose(const WriteOption& option, NodeId reply_to,
-                               std::function<void(ClassicReply)> reply) {
-  (void)reply_to;
+void Replica::ClassicPropose(const WriteOption& option,
+                             std::function<void(ClassicReply)> reply) {
   ++classic_proposals_;
 
   // Mastership-epoch check: the proposal must target this DC at its epoch,
@@ -135,7 +153,7 @@ void Replica::DoClassicPropose(const WriteOption& option, NodeId reply_to,
     StartClassicRound(option, std::move(reply));
     return;
   }
-  if (!own.conflict || config_.classic_queue_timeout <= 0) {
+  if (!own.conflict) {
     reply(ClassicReply{false, false, group_epoch_[group]});
     return;
   }
@@ -146,7 +164,7 @@ void Replica::DoClassicPropose(const WriteOption& option, NodeId reply_to,
   Key key = option.key;
   uint64_t qid = queued.qid;
   queued.timeout_event =
-      sim_->Schedule(config_.classic_queue_timeout, [this, key, qid] {
+      sim_->Schedule(kClassicQueueTimeout, [this, key, qid] {
         auto it = classic_queue_.find(key);
         if (it == classic_queue_.end()) return;
         auto& q = it->second;
@@ -232,64 +250,19 @@ void Replica::OnMasterVote(uint64_t round_id, VoteReply vote) {
   if (round.accepts + round.rejects >= config_.num_dcs) rounds_.erase(it);
 }
 
-void Replica::DoMasterAccept(const WriteOption& option, NodeId master,
-                             std::function<void(VoteReply)> reply) {
-  (void)master;
-  // Epoch bookkeeping mirrors the master side: adopt newer epochs, and
-  // refuse to co-sign a proposal whose epoch this acceptor knows to be
-  // superseded (the failed-over master is already serializing this group).
-  size_t group = static_cast<size_t>(config_.MasterOf(option.key));
-  if (option.epoch > group_epoch_[group]) group_epoch_[group] = option.epoch;
-  if (option.epoch < group_epoch_[group]) {
-    ++stale_epoch_rejects_;
-    VoteReply vote;
-    vote.accepted = false;
-    vote.stale = true;
-    reply(vote);
-    return;
-  }
-  reply(TryAccept(option));
-}
-
-void Replica::DoVisibility(TxnId txn, bool commit,
-                           const std::vector<WriteOption>& options) {
+void Replica::Learn(TxnId txn, bool commit,
+                    const std::vector<WriteOption>& options) {
   decided_.emplace(txn, Decision{Now(), commit});
   pending_since_.erase(txn);
   resolve_inflight_.erase(txn);
-  // Amortized GC: drop decided entries old enough that no message for them
-  // can still be in flight.
-  if (decided_.size() > 100000) {
-    const SimTime horizon = Now() - 10 * config_.txn_timeout;
-    std::erase_if(decided_, [&](const auto& entry) {
-      return entry.second.when < horizon;
-    });
-  }
   for (const WriteOption& option : options) {
     PLANET_CHECK(option.txn == txn);
-    if (!commit) {
-      store_.RemoveOption(txn, option.key);
-    } else {
+    if (commit) {
       ApplyDecided(option);
+    } else {
+      store_.RemoveOption(txn, option.key);
     }
     // The key's pending state changed: queued classic proposals may proceed.
-    DrainClassicQueue(option.key);
-  }
-}
-
-void Replica::DoAbortNotice(TxnId txn,
-                            const std::vector<WriteOption>& options) {
-  ++abort_notices_received_;
-  // Learn the abort exactly like an abort Visibility: late accepts for the
-  // transaction are refused from decided_, and resolve queries from peers
-  // that accepted an option get an answer instead of backing off toward
-  // their resolve-timeout cap (the short-circuit the early-abort path buys).
-  decided_.emplace(txn, Decision{Now(), /*commit=*/false});
-  pending_since_.erase(txn);
-  resolve_inflight_.erase(txn);
-  for (const WriteOption& option : options) {
-    PLANET_CHECK(option.txn == txn);
-    store_.RemoveOption(txn, option.key);
-    // The released record unblocks queued classic proposals immediately.
     DrainClassicQueue(option.key);
   }
 }
@@ -310,19 +283,6 @@ void Replica::ApplyDecided(const WriteOption& option) {
   store_.ApplyInOrder(option);
 }
 
-void Replica::DoRead(Key key, NodeId reply_to,
-                     std::function<void(RecordView)> reply) {
-  (void)reply_to;
-  reply(store_.Read(key));
-}
-
-void Replica::DoReadSpeculative(  // planet-lint: allow(std-function-hot-path)
-    Key key, NodeId reply_to, std::function<void(RecordView, bool)> reply) {
-  (void)reply_to;
-  SpeculativeView sv = store_.ReadSpeculative(key);
-  reply(sv.view, sv.speculative);
-}
-
 void Replica::EnableRecovery(Duration period) {
   PLANET_CHECK(period > 0);
   recovery_period_ = period;
@@ -335,11 +295,8 @@ void Replica::ScheduleRecoveryScan() {
   recovery_scan_scheduled_ = true;
   // Scans are incarnation-guarded: a scan scheduled before a crash must not
   // run (or spawn a second scan loop) in the next incarnation.
-  uint64_t inc = incarnation();
-  sim_->Schedule(recovery_period_, [this, inc] {
-    if (crashed() || incarnation() != inc) return;
-    RecoveryScan();
-  });
+  sim_->ScheduleGuardedAt(Now() + recovery_period_, &incarnation_,
+                          incarnation_, [this] { RecoveryScan(); });
 }
 
 void Replica::RecoveryScan() {
@@ -365,11 +322,11 @@ void Replica::RecoveryScan() {
     // horizon the in-flight entry is dropped (also a failed attempt) and a
     // later scan asks again.
     resolve_inflight_[txn] = config_.num_dcs - 1;
-    uint64_t inc = incarnation();
-    sim_->Schedule(2 * config_.txn_timeout, [this, inc, txn_id = txn] {
-      if (crashed() || incarnation() != inc) return;
-      if (resolve_inflight_.erase(txn_id) > 0) NoteResolveFailure(txn_id);
-    });
+    sim_->ScheduleGuardedAt(
+        Now() + 2 * config_.txn_timeout, &incarnation_, incarnation_,
+        [this, txn] {
+          if (resolve_inflight_.erase(txn) > 0) NoteResolveFailure(txn);
+        });
     for (Replica* peer : peers_) {
       if (peer == this) continue;
       NodeId peer_id = peer->id();
@@ -411,8 +368,13 @@ void Replica::OnResolveReply(TxnId txn, bool known, bool commit) {
   auto it = resolve_inflight_.find(txn);
   if (it == resolve_inflight_.end()) return;  // already resolved
   if (known) {
-    resolve_inflight_.erase(it);
-    ResolveLocally(txn, commit);
+    // Queries go out only for pending transactions, and Learn clears the
+    // in-flight entry together with the pending one.
+    auto pending = pending_since_.find(txn);
+    PLANET_CHECK(pending != pending_since_.end());
+    std::vector<WriteOption> options = std::move(pending->second.options);
+    recovered_options_ += options.size();
+    Learn(txn, commit, options);
     return;
   }
   if (--it->second <= 0) {
@@ -483,23 +445,6 @@ void Replica::OnSyncState(const std::vector<SyncEntry>& state,
     if (!store_.AdoptRecord(entry)) continue;
     ++sync_records_adopted_;
     DrainClassicQueue(entry.key);
-  }
-}
-
-void Replica::ResolveLocally(TxnId txn, bool commit) {
-  auto pending = pending_since_.find(txn);
-  if (pending == pending_since_.end()) return;
-  std::vector<WriteOption> options = std::move(pending->second.options);
-  pending_since_.erase(pending);
-  decided_.emplace(txn, Decision{Now(), commit});
-  recovered_options_ += options.size();
-  for (const WriteOption& option : options) {
-    if (commit) {
-      ApplyDecided(option);
-    } else {
-      store_.RemoveOption(txn, option.key);
-    }
-    DrainClassicQueue(option.key);
   }
 }
 

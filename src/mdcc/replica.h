@@ -81,15 +81,16 @@ class Replica : public Node {
                         const std::vector<WriteOption>& options);
 
   /// Predictive early abort (experiment F11): the coordinator killed the
-  /// transaction before its Paxos round resolved. Semantically an abort
-  /// Visibility — pending options are dropped, the decision is learned so
-  /// late accepts are refused and resolve queries answer — plus an explicit
-  /// short-circuit of the resolve backoff so the slot returns immediately.
-  /// Safe across failover and WAL recovery by construction: the body is
-  /// idempotent, touches only volatile state (never the WAL), rides the
-  /// incarnation-guarded service queue, and the Network drops deliveries to
-  /// crashed nodes — a notice that raced a crash is simply re-resolved by
-  /// the recovery protocol like any other lost decision.
+  /// transaction before its Paxos round resolved. Runs the learn step of an
+  /// abort Visibility — pending options are dropped, the decision is learned
+  /// so late accepts are refused and resolve queries answer — and differs
+  /// from it only in the abort_notices_received counter and the message
+  /// class (MsgClass::kAbortNotice); the decided-set GC stays with
+  /// Visibility. Safe across failover and WAL recovery by construction: the
+  /// body is idempotent, touches only volatile state (never the WAL), rides
+  /// the incarnation-guarded service queue, and the Network drops
+  /// deliveries to crashed nodes — a notice that raced a crash is simply
+  /// re-resolved by the recovery protocol like any other lost decision.
   void HandleAbortNotice(TxnId txn, const std::vector<WriteOption>& options);
 
   uint64_t abort_notices_received() const { return abort_notices_received_; }
@@ -176,21 +177,17 @@ class Replica : public Node {
   /// Shared acceptor logic for fast and master-forwarded accepts.
   VoteReply TryAccept(const WriteOption& option);
 
-  // Service-queue bodies of the public message handlers (the public entry
-  // points charge config_.replica_service_cost on the node's serial CPU).
-  void DoFastAccept(const WriteOption& option, NodeId reply_to,
-                    std::function<void(VoteReply)> reply);
-  void DoClassicPropose(const WriteOption& option, NodeId reply_to,
-                        std::function<void(ClassicReply)> reply);
-  void DoMasterAccept(const WriteOption& option, NodeId master,
-                      std::function<void(VoteReply)> reply);
-  void DoVisibility(TxnId txn, bool commit,
-                    const std::vector<WriteOption>& options);
-  void DoAbortNotice(TxnId txn, const std::vector<WriteOption>& options);
-  void DoRead(Key key, NodeId reply_to,
-              std::function<void(RecordView)> reply);
-  void DoReadSpeculative(  // planet-lint: allow(std-function-hot-path)
-      Key key, NodeId reply_to, std::function<void(RecordView, bool)> reply);
+  /// Service-queue body of HandleClassicPropose (every public message
+  /// handler charges config_.replica_service_cost on the node's serial CPU).
+  void ClassicPropose(const WriteOption& option,
+                      std::function<void(ClassicReply)> reply);
+
+  /// Learns the decision of `txn`: records it (late accepts are refused and
+  /// resolve queries answered from decided_), clears the pending and
+  /// resolve state, applies (commit) or drops (abort) each option, and
+  /// drains each key's classic queue. Visibility, AbortNotice and a known
+  /// resolve reply all end here.
+  void Learn(TxnId txn, bool commit, const std::vector<WriteOption>& options);
 
   /// Collects one peer vote for a classic round this node masters.
   void OnMasterVote(uint64_t round_id, VoteReply vote);
@@ -248,7 +245,6 @@ class Replica : public Node {
   void OnResolveReply(TxnId txn, bool known, bool commit);
   /// Records a failed resolve round for backoff purposes.
   void NoteResolveFailure(TxnId txn);
-  void ResolveLocally(TxnId txn, bool commit);
   void OnSyncState(const std::vector<SyncEntry>& state,
                    const std::vector<int>& epochs);
 

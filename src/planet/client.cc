@@ -29,37 +29,55 @@ const char* PlanetStageName(PlanetStage stage) {
 PlanetContext::PlanetContext(const MdccConfig& mdcc, const PlanetConfig& planet)
     : mdcc_(mdcc),
       planet_(planet),
-      latency_(mdcc.num_dcs, planet.latency_prior_hint),
-      conflict_(planet.conflict_alpha, planet.conflict_max_tracked_keys),
+      latency_(mdcc.num_dcs, kLatencyPriorHint),
+      conflict_(kConflictAlpha),
       reach_(mdcc.num_dcs, planet.dead_after),
-      estimator_(mdcc_, planet_, &latency_, &conflict_, &reach_) {
-  stats_.calibration = CalibrationTracker(planet.calibration_buckets);
-}
+      estimator_(mdcc_, planet_, &latency_, &conflict_, &reach_) {}
 
 PlanetClient::PlanetClient(Client* db, PlanetContext* ctx)
     : db_(db), ctx_(ctx) {
   PLANET_CHECK(db != nullptr && ctx != nullptr);
-  // Every vote this coordinator observes (including late ones) feeds the
-  // shared latency and conflict models; every reply is also a reachability
-  // ack, and every send a probe (passive failure detection, no new traffic).
-  db_->SetGlobalVoteListener([this](const VoteEvent& event) {
-    ctx_->latency_model().RecordRtt(db_->dc(), event.replica_dc, event.rtt);
-    ctx_->conflict_model().RecordVote(event.key, event.accepted);
-    ctx_->reachability().RecordAck(event.replica_dc, db_->Now());
-  });
-  db_->SetGlobalOptionListener([this](Key key, bool chosen, bool via_classic) {
-    (void)via_classic;
-    ctx_->conflict_model().RecordOptionOutcome(key, chosen);
-  });
-  db_->SetGlobalSendListener([this](DcId dst) {
-    ctx_->reachability().RecordProbe(dst, db_->Now());
-  });
-  db_->SetGlobalClassicListener([this](DcId master_dc, bool chosen,
-                                       Duration rtt) {
-    (void)chosen;
-    (void)rtt;
-    ctx_->reachability().RecordAck(master_dc, db_->Now());
-  });
+  db_->SetObserver(this);
+}
+
+// Every vote this coordinator observes (including late ones) feeds the shared
+// latency and conflict models; every reply is also a reachability ack, and
+// every send a probe (passive failure detection, no new traffic).
+void PlanetClient::OnSend(DcId dc) {
+  ctx_->reachability().RecordProbe(dc, db_->Now());
+}
+
+void PlanetClient::OnVote(const VoteEvent& vote, bool counted) {
+  ctx_->latency_model().RecordRtt(db_->dc(), vote.replica_dc, vote.rtt);
+  ctx_->conflict_model().RecordVote(vote.key, vote.accepted);
+  ctx_->reachability().RecordAck(vote.replica_dc, db_->Now());
+  if (!counted) return;
+  TxnState* state = Find(vote.txn);
+  if (state == nullptr || state->final_known) return;
+  ++state->votes_received;
+  FireProgress(*state);
+  MaybeKill(*state);
+}
+
+void PlanetClient::OnClassicReply(DcId dc) {
+  ctx_->reachability().RecordAck(dc, db_->Now());
+}
+
+void PlanetClient::OnOptionDecided(TxnId txn, Key key, bool chosen) {
+  ctx_->conflict_model().RecordOptionOutcome(key, chosen);
+  TxnState* state = Find(txn);
+  if (state == nullptr || state->final_known) return;
+  ++state->options_decided;
+  FireProgress(*state);
+  MaybeKill(*state);
+}
+
+void PlanetClient::OnPhase(TxnId txn, TxnPhase phase) {
+  TxnState* state = Find(txn);
+  if (state == nullptr || state->final_known) return;
+  if (phase == TxnPhase::kClassic && state->stage == PlanetStage::kSubmitted) {
+    SetStage(*state, PlanetStage::kClassicFallback);
+  }
 }
 
 PlanetTransaction PlanetClient::Begin() {
@@ -123,7 +141,6 @@ void PlanetClient::Commit(TxnId txn,
   PLANET_CHECK_MSG(state != nullptr, "commit on unknown planet txn " << txn);
   PLANET_CHECK(state->stage == PlanetStage::kExecuting);
   state->user_cb = std::move(user_cb);
-  state->submit = db_->Now();
 
   const PlanetConfig& pc = ctx_->planet_config();
   std::vector<WriteOption> writes = db_->PendingWrites(txn);
@@ -162,31 +179,6 @@ void PlanetClient::Commit(TxnId txn,
     state->gauge =
         DoomGauge(pc.kill_threshold, pc.kill_hysteresis, pc.kill_confirm);
   }
-
-  TxnObserver observer;
-  observer.on_vote = [this, txn](const VoteEvent&) {
-    TxnState* st = Find(txn);
-    if (st == nullptr || st->final_known) return;
-    ++st->votes_received;
-    FireProgress(*st);
-    MaybeKill(*st);
-  };
-  observer.on_option_decided = [this, txn](Key, bool, bool) {
-    TxnState* st = Find(txn);
-    if (st == nullptr || st->final_known) return;
-    ++st->options_decided;
-    FireProgress(*st);
-    MaybeKill(*st);
-  };
-  observer.on_phase = [this, txn](TxnPhase phase) {
-    TxnState* st = Find(txn);
-    if (st == nullptr || st->final_known) return;
-    if (phase == TxnPhase::kClassic &&
-        st->stage == PlanetStage::kSubmitted) {
-      SetStage(*st, PlanetStage::kClassicFallback);
-    }
-  };
-  db_->SetObserver(txn, std::move(observer));
 
   SetStage(*state, PlanetStage::kSubmitted);
   if (state->timeout > 0) {

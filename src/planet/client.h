@@ -43,11 +43,7 @@ struct PlanetStats {
 
   /// Zeroes every counter and the calibration (keeps the learned models
   /// alive; used to discard warm-up phases in experiments).
-  void Reset() {
-    int buckets = static_cast<int>(calibration.Buckets().size());
-    *this = PlanetStats{};
-    calibration = CalibrationTracker(buckets);
-  }
+  void Reset() { *this = {}; }
 };
 
 /// State shared by the PlanetClients of one deployment: the online-learned
@@ -82,11 +78,17 @@ class PlanetContext {
 
 /// One PLANET client endpoint: wraps one MDCC coordinator client and runs
 /// the programming model (stages, callbacks, prediction, speculation,
-/// admission control).
-class PlanetClient {
+/// admission control). It observes the coordinator: every send, vote and
+/// reply feeds the shared models, and a submitted transaction's votes,
+/// option decisions and phases drive its progress callbacks and kill gauge.
+class PlanetClient : private ClientObserver {
  public:
   /// `db` must outlive this client; `ctx` is shared and must outlive it too.
+  /// It registers itself as `db`'s observer, so it is neither copied nor
+  /// moved.
   PlanetClient(Client* db, PlanetContext* ctx);
+  PlanetClient(const PlanetClient&) = delete;
+  PlanetClient& operator=(const PlanetClient&) = delete;
 
   /// Starts a transaction and returns its handle.
   PlanetTransaction Begin();
@@ -123,7 +125,6 @@ class PlanetClient {
   struct TxnState {
     TxnId id = kInvalidTxnId;
     SimTime begin = 0;
-    SimTime submit = 0;
     PlanetStage stage = PlanetStage::kExecuting;
     std::function<void(const TxnProgress&)> on_progress;
     std::function<void(PlanetStage)> on_stage;
@@ -145,6 +146,13 @@ class PlanetClient {
     DoomGauge gauge;
     bool early_aborted = false;
   };
+
+  // ClientObserver hooks.
+  void OnSend(DcId dc) override;
+  void OnVote(const VoteEvent& vote, bool counted) override;
+  void OnClassicReply(DcId dc) override;
+  void OnOptionDecided(TxnId txn, Key key, bool chosen) override;
+  void OnPhase(TxnId txn, TxnPhase phase) override;
 
   TxnState* Find(TxnId txn);
   const TxnState* Find(TxnId txn) const;

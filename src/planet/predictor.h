@@ -28,6 +28,18 @@
 
 namespace planet {
 
+/// EWMA weight of new conflict observations in a PlanetContext's model.
+inline constexpr double kConflictAlpha = 0.05;
+
+/// Default bound on the keys a ConflictModel tracks individually (per
+/// level). Beyond it, the coldest half is evicted, so huge key spaces (F1
+/// runs 1M keys) cannot grow the model without bound; evicted keys fall back
+/// to the global rate, which is what a cold key blends to anyway.
+inline constexpr size_t kConflictMaxTrackedKeys = 65536;
+
+/// RTT a PlanetContext's latency model assumes before it has data.
+inline constexpr Duration kLatencyPriorHint = Millis(250);
+
 /// Tuning knobs of the PLANET layer.
 struct PlanetConfig {
   /// Admission control: reject transactions whose prior commit likelihood is
@@ -41,19 +53,6 @@ struct PlanetConfig {
   /// burning wide-area work on transactions that cannot meet the SLA.
   Duration admission_sla = 0;
 
-  /// EWMA weight of new conflict observations.
-  double conflict_alpha = 0.05;
-
-  /// Upper bound on the number of keys the conflict model tracks
-  /// individually (per level). Beyond it, the coldest half is evicted, so
-  /// huge key spaces (F1 runs 1M keys) cannot grow the model without bound;
-  /// evicted keys fall back to the global rate, which is what a cold key
-  /// blends to anyway.
-  size_t conflict_max_tracked_keys = 65536;
-
-  /// Assumed RTT before the latency model has data.
-  Duration latency_prior_hint = Millis(250);
-
   /// Damping of the classic-path rescue probability (correlated rejections
   /// make a fresh-state classic estimate optimistic).
   double classic_damp = 0.5;
@@ -64,9 +63,6 @@ struct PlanetConfig {
   /// are correlated within an option, so this is measurably miscalibrated —
   /// kept to quantify the design choice.
   bool use_option_level_model = true;
-
-  /// Number of buckets of the built-in calibration tracker.
-  int calibration_buckets = 10;
 
   /// Failure detection: a DC whose oldest unanswered probe is older than
   /// this is treated as dead by the estimator — its outstanding votes are
@@ -187,8 +183,9 @@ class LatencyModel {
 class ConflictModel {
  public:
   /// `max_tracked_keys` bounds each per-key map; see
-  /// PlanetConfig::conflict_max_tracked_keys.
-  explicit ConflictModel(double alpha, size_t max_tracked_keys = 65536);
+  /// kConflictMaxTrackedKeys.
+  explicit ConflictModel(double alpha,
+                         size_t max_tracked_keys = kConflictMaxTrackedKeys);
 
   /// Feeds one acceptor vote (accepted / rejected-for-contention).
   void RecordVote(Key key, bool accepted);

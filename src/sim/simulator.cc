@@ -173,8 +173,4 @@ void Simulator::CompactIfStale() {
   }
 }
 
-void Simulator::InstallLogTimeSource() {
-  logging::SetTimeSource([this] { return now_; });
-}
-
 }  // namespace planet

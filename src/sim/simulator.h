@@ -126,9 +126,6 @@ class Simulator {
     return PoolStats{num_slots_, free_slots_.size(), heap_.size(), stale_};
   }
 
-  /// Installs this simulator as the logging time source (for log stamps).
-  void InstallLogTimeSource();
-
  private:
   /// One pooled event. `seq` is the global scheduling sequence number while
   /// the event is pending and 0 when the slot is free; `generation` counts

@@ -105,7 +105,7 @@ struct PlanetSession {
         if (policy->midflight_tracker != nullptr && !fly->midflight_sampled &&
             p.votes_total > 0 &&
             p.votes_received >=
-                policy->midflight_votes_fraction * p.votes_total &&
+                kMidflightVotesFraction * p.votes_total &&
             (p.stage == PlanetStage::kSubmitted ||
              p.stage == PlanetStage::kClassicFallback)) {
           fly->midflight_sampled = true;

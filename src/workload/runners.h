@@ -13,6 +13,10 @@
 
 namespace planet {
 
+/// Share of its expected votes a transaction has seen when the mid-flight
+/// likelihood sample of PlanetRunnerPolicy::midflight_tracker is taken.
+inline constexpr double kMidflightVotesFraction = 0.4;
+
 /// What the driven application does at the PLANET timeout callback, plus
 /// optional experiment instrumentation.
 struct PlanetRunnerPolicy {
@@ -25,11 +29,10 @@ struct PlanetRunnerPolicy {
   bool give_up_below = false;
 
   /// If set, the runner samples the likelihood estimate once the transaction
-  /// has seen `midflight_votes_fraction` of its expected votes and records
+  /// has seen kMidflightVotesFraction of its expected votes and records
   /// (sample, committed) into this tracker at the definitive outcome
   /// (experiment F3).
   CalibrationTracker* midflight_tracker = nullptr;
-  double midflight_votes_fraction = 0.4;
 
   /// If set, the runner collects every TxnProgress snapshot of each
   /// transaction and hands the full trace plus the result to this hook at

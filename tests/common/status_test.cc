@@ -49,25 +49,5 @@ TEST(Status, CodeNamesAllDistinct) {
   }
 }
 
-TEST(Result, HoldsValue) {
-  Result<int> r(42);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), 42);
-  EXPECT_EQ(r.value_or(7), 42);
-}
-
-TEST(Result, HoldsError) {
-  Result<int> r(Status::NotFound("gone"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsNotFound());
-  EXPECT_EQ(r.value_or(7), 7);
-}
-
-TEST(Result, MoveOutValue) {
-  Result<std::string> r(std::string("payload"));
-  std::string moved = std::move(r).value();
-  EXPECT_EQ(moved, "payload");
-}
-
 }  // namespace
 }  // namespace planet

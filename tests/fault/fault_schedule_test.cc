@@ -89,6 +89,13 @@ TEST(FaultSchedule, ValidateChecksRangesAndAlternation) {
     EXPECT_FALSE(faults.Validate(5).ok()) << "heal without partition";
   }
   {
+    FaultSchedule faults;
+    faults.PartitionDc(Seconds(1), 2)
+        .HealDc(Seconds(5), 2)
+        .PartitionDc(Seconds(10), 2);
+    EXPECT_FALSE(faults.Validate(5).ok()) << "partition never heals";
+  }
+  {
     // A full well-formed episode validates, including a crash left open
     // (permanent failures are legal).
     FaultSchedule faults;

@@ -115,23 +115,27 @@ TEST(Coordinator, ForceClassicSkipsFastPath) {
 }
 
 TEST(Coordinator, ObserverSequencing) {
+  struct Recorder : ClientObserver {
+    std::vector<std::string> events;
+    void OnSend(DcId) override {}
+    void OnVote(const VoteEvent& e, bool counted) override {
+      if (counted) events.push_back(e.accepted ? "vote+" : "vote-");
+    }
+    void OnClassicReply(DcId) override {}
+    void OnOptionDecided(TxnId, Key, bool chosen) override {
+      events.push_back(chosen ? "opt+" : "opt-");
+    }
+    void OnPhase(TxnId, TxnPhase phase) override {
+      events.push_back(std::string("phase:") + TxnPhaseName(phase));
+    }
+  } recorder;
+  std::vector<std::string>& events = recorder.events;
   Cluster cluster(Opts());
   Client* client = cluster.client(0);
-  std::vector<std::string> events;
+  client->SetObserver(&recorder);
   TxnId txn = client->Begin();
   client->Read(txn, 5, [&](Status, RecordView v) {
     ASSERT_TRUE(client->Write(txn, 5, v.value + 1).ok());
-    TxnObserver observer;
-    observer.on_vote = [&](const VoteEvent& e) {
-      events.push_back(e.accepted ? "vote+" : "vote-");
-    };
-    observer.on_option_decided = [&](Key, bool chosen, bool classic) {
-      events.push_back(chosen ? (classic ? "opt+classic" : "opt+") : "opt-");
-    };
-    observer.on_phase = [&](TxnPhase phase) {
-      events.push_back(std::string("phase:") + TxnPhaseName(phase));
-    };
-    client->SetObserver(txn, std::move(observer));
     client->Commit(txn, [&](Status) { events.push_back("done"); });
   });
   cluster.Drain();

@@ -162,9 +162,53 @@ TEST_F(ReplicaFixture, ClassicQueueTimesOut) {
     chosen = r.chosen;
   });
   // The holder never resolves; the queue timeout rejects the waiter.
-  sim_.RunFor(config_.classic_queue_timeout + Millis(50));
+  sim_.RunFor(kClassicQueueTimeout + Millis(50));
   EXPECT_TRUE(decided);
   EXPECT_FALSE(chosen);
+}
+
+TEST_F(ReplicaFixture, AbortNoticeLearnsAnAbort) {
+  Key key = 3;
+  Replica* master = master_of(key);
+  Replica* peer = replica((config_.MasterOf(key) + 1) % 5);
+  // Txn 1 holds the record at the master and at a peer; txn 2's classic
+  // proposal queues behind it at the master.
+  WriteOption holder = Physical(1, key, 0, 1);
+  master->HandleFastAccept(holder, 5, [](VoteReply) {});
+  peer->HandleFastAccept(holder, 5, [](VoteReply) {});
+  WriteOption waiter = Physical(2, key, 0, 2);
+  bool decided = false, chosen = false;
+  master->HandleClassicPropose(waiter, 5, [&](ClassicReply r) {
+    decided = true;
+    chosen = r.chosen;
+  });
+  sim_.RunFor(Millis(100));
+  ASSERT_FALSE(decided);
+
+  // The coordinator kills txn 1 early; both replicas learn the abort.
+  peer->HandleAbortNotice(1, {holder});
+  master->HandleAbortNotice(1, {holder});
+  EXPECT_EQ(peer->abort_notices_received(), 1u);
+  EXPECT_EQ(master->abort_notices_received(), 1u);
+  EXPECT_EQ(peer->store().TotalPending(), 0u);
+  VoteReply late;
+  late.accepted = true;
+  peer->HandleFastAccept(holder, 5, [&](VoteReply v) { late = v; });
+  EXPECT_FALSE(late.accepted);
+  EXPECT_EQ(peer->store().TotalPending(), 0u)
+      << "a late accept after the notice must not strand a pending option";
+  bool known = false, commit = true;
+  peer->HandleResolveQuery(1, [&](bool k, bool c) {
+    known = k;
+    commit = c;
+  });
+  EXPECT_TRUE(known);
+  EXPECT_FALSE(commit);
+
+  // The released record unblocks the master's queue: txn 2's round wins.
+  sim_.Run();
+  EXPECT_TRUE(decided);
+  EXPECT_TRUE(chosen);
 }
 
 TEST_F(ReplicaFixture, ResolveQueryAnswersKnownDecisions) {

@@ -52,10 +52,10 @@ TEST(PredictorProperty, LikelihoodNonIncreasingInConflictRate) {
   Rng rng(2024);
   for (int trial = 0; trial < 1000; ++trial) {
     PlanetConfig planet;
-    planet.conflict_alpha = 0.02 + 0.3 * rng.NextDouble();
+    double alpha = 0.02 + 0.3 * rng.NextDouble();
     LatencyModel latency(5, Millis(100));
-    ConflictModel low(planet.conflict_alpha);
-    ConflictModel high(planet.conflict_alpha);
+    ConflictModel low(alpha);
+    ConflictModel high(alpha);
 
     Key key = static_cast<Key>(rng.UniformInt(0, 9));
     int votes = static_cast<int>(rng.UniformInt(1, 200));
@@ -88,9 +88,8 @@ TEST(PredictorProperty, LikelihoodNonDecreasingAsAcksArrive) {
   Rng rng(4048);
   for (int trial = 0; trial < 1000; ++trial) {
     PlanetConfig planet;
-    planet.conflict_alpha = 0.05;
     LatencyModel latency(5, Millis(100));
-    ConflictModel conflict(planet.conflict_alpha);
+    ConflictModel conflict(0.05);
 
     // Random conflict pre-training on the keys in play.
     int pretrain = static_cast<int>(rng.UniformInt(0, 300));
@@ -139,7 +138,7 @@ TEST(PredictorProperty, FreshLikelihoodMatchesZeroVoteEstimate) {
   for (int trial = 0; trial < 200; ++trial) {
     PlanetConfig planet;
     LatencyModel latency(5, Millis(100));
-    ConflictModel conflict(planet.conflict_alpha);
+    ConflictModel conflict(kConflictAlpha);
     Key key = 3;
     int votes = static_cast<int>(rng.UniformInt(0, 200));
     double reject_rate = rng.NextDouble() * 0.5;

@@ -467,11 +467,6 @@ LabResult Run(const Args& args) {
   base.faults = args.faults;
   Configure(args, &base);
   ShardedClusterT<ClusterT> sharded(base, args.sim_shards);
-  // Log stamps read one simulator's clock, which is only safe while that
-  // simulator drains on this thread.
-  if (sharded.num_shards() == 1) {
-    sharded.shard(0)->sim().InstallLogTimeSource();
-  }
   LoadGenerator::Options load;
   load.rate_per_sec = args.rate;
   load.think_time_mean = Millis(args.think_ms);
@@ -489,7 +484,6 @@ LabResult Run(const Args& args) {
     }
   }
   sharded.Drain();
-  logging::SetTimeSource(nullptr);  // the simulators die with this function
 
   LabResult result;
   result.metrics = sharded.MergedMetrics();
@@ -503,7 +497,6 @@ LabResult Run(const Args& args) {
 int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) return 2;
-  if (args.verbose) logging::SetLevel(LogLevel::kInfo);
   LabResult result =
       args.stack == "2pc" ? Run<TpcCluster>(args) : Run<Cluster>(args);
 
