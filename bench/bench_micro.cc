@@ -28,6 +28,7 @@
 #include "harness/cluster.h"
 #include "harness/metrics_json.h"
 #include "harness/sharded_cluster.h"
+#include "harness/sweep.h"
 #include "planet/predictor.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -381,8 +382,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-      if (reps < 1) reps = 1;
+      if (!ParseFlagNumber("--reps", argv[++i], &reps, 1)) return 2;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       scale = 1;
     } else {
@@ -398,6 +398,8 @@ int main(int argc, char** argv) {
   results.push_back(BenchSimScheduleRun(200000 * scale, reps));
   results.push_back(
       BenchShardedRun(1, 200000 * scale, reps, "sim_sharded_run_1"));
+  results.push_back(
+      BenchShardedRun(2, 200000 * scale, reps, "sim_sharded_run_2"));
   results.push_back(
       BenchShardedRun(8, 200000 * scale, reps, "sim_sharded_run_8"));
   results.push_back(BenchSimScheduleCancel(200000 * scale, reps));

@@ -18,8 +18,8 @@ void TpcNode::SetPeers(std::vector<TpcNode*> peers) {
 void TpcNode::HandlePrepare(TxnId txn, Key key, Version read_version,
                             std::function<void(bool)> reply) {
   PLANET_CHECK(config_.MasterOf(key) == dc_);
-  auto lock = locks_.find(key);
-  if (lock != locks_.end() && lock->second != txn) {
+  const TxnId* holder = locks_.Find(key);
+  if (holder != nullptr && *holder != txn) {
     reply(false);  // no-wait: lock conflict votes no
     return;
   }
@@ -27,7 +27,7 @@ void TpcNode::HandlePrepare(TxnId txn, Key key, Version read_version,
     reply(false);  // stale read
     return;
   }
-  locks_[key] = txn;
+  locks_.TryEmplace(key, txn);
   reply(true);
 }
 
@@ -36,8 +36,8 @@ void TpcNode::HandleCommit(TxnId txn, const WriteOption& option,
   PLANET_CHECK(config_.MasterOf(option.key) == dc_);
   // A missing lock is legal after a crash-restart: locks are volatile, but
   // the coordinator's commit decision stands, so apply regardless.
-  auto lock = locks_.find(option.key);
-  if (lock != locks_.end() && lock->second == txn) locks_.erase(lock);
+  const TxnId* holder = locks_.Find(option.key);
+  if (holder != nullptr && *holder == txn) locks_.Erase(option.key);
   store_.ApplyInOrder(option);
 
   int needed = config_.ReplicationQuorum() - 1;  // master already holds it
@@ -69,8 +69,8 @@ void TpcNode::HandleCommit(TxnId txn, const WriteOption& option,
 }
 
 void TpcNode::HandleAbort(TxnId txn, Key key) {
-  auto lock = locks_.find(key);
-  if (lock != locks_.end() && lock->second == txn) locks_.erase(lock);
+  const TxnId* holder = locks_.Find(key);
+  if (holder != nullptr && *holder == txn) locks_.Erase(key);
 }
 
 void TpcNode::HandleReplicate(const WriteOption& option,

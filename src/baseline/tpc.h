@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "sim/node.h"
 #include "storage/store.h"
 #include "txn/coordinator.h"
@@ -74,7 +75,8 @@ class TpcNode : public Node {
   TpcConfig config_;
   Store store_;
   std::vector<TpcNode*> peers_;
-  std::unordered_map<Key, TxnId> locks_;
+  /// key -> the transaction holding its lock.
+  FlatMap<TxnId> locks_;
 };
 
 /// Client-side 2PC coordinator: the shared front end (Read, Write, Commit,

@@ -65,11 +65,12 @@ void Replica::HandleVisibility(TxnId txn, bool commit,
     Learn(txn, commit, options);
     // Amortized GC: drop decided entries old enough that no message for
     // them can still be in flight.
-    if (decided_.size() > 100000) {
+    if (decided_.size() > decided_gc_at_) {
       const SimTime horizon = Now() - 10 * config_.txn_timeout;
-      std::erase_if(decided_, [&](const auto& entry) {
-        return entry.second.when < horizon;
+      decided_.EraseIf([&](TxnId, uint64_t decision) {
+        return static_cast<SimTime>(decision >> 1) < horizon;
       });
+      decided_gc_at_ = std::max(kDecidedGcFloor, 2 * decided_.size());
     }
   });
 }
@@ -99,7 +100,7 @@ void Replica::HandleReadSpeculative(  // planet-lint: allow(std-function-hot-pat
 
 VoteReply Replica::TryAccept(const WriteOption& option) {
   VoteReply vote;
-  if (decided_.count(option.txn) > 0) {
+  if (decided_.Find(option.txn) != nullptr) {
     // The decision already passed through here; a (re)accept would strand a
     // pending option forever.
     vote.accepted = false;
@@ -252,7 +253,7 @@ void Replica::OnMasterVote(uint64_t round_id, VoteReply vote) {
 
 void Replica::Learn(TxnId txn, bool commit,
                     const std::vector<WriteOption>& options) {
-  decided_.emplace(txn, Decision{Now(), commit});
+  decided_.TryEmplace(txn, (static_cast<uint64_t>(Now()) << 1) | commit);
   pending_since_.erase(txn);
   resolve_inflight_.erase(txn);
   for (const WriteOption& option : options) {
@@ -356,11 +357,11 @@ void Replica::NoteResolveFailure(TxnId txn) {
 
 void Replica::HandleResolveQuery(TxnId txn,
                                  std::function<void(bool, bool)> reply) {
-  auto it = decided_.find(txn);
-  if (it == decided_.end()) {
+  const uint64_t* decision = decided_.Find(txn);
+  if (decision == nullptr) {
     reply(false, false);
   } else {
-    reply(true, it->second.commit);
+    reply(true, (*decision & 1) != 0);
   }
 }
 
@@ -417,6 +418,7 @@ void Replica::Crash() {
   rounds_.clear();
   store_.DropDeferred();
   decided_.clear();
+  decided_gc_at_ = kDecidedGcFloor;
   pending_since_.clear();
   resolve_inflight_.clear();
   recovery_scan_scheduled_ = false;

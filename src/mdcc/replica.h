@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "mdcc/config.h"
 #include "sim/node.h"
 #include "storage/store.h"
@@ -220,15 +221,17 @@ class Replica : public Node {
   std::unordered_map<Key, std::deque<QueuedProposal>> classic_queue_;
   uint64_t next_qid_ = 1;
   uint64_t next_round_id_ = 1;
-  struct Decision {
-    SimTime when = 0;
-    bool commit = false;
-  };
-  /// Transactions whose decision this replica has learned; accepts for them
-  /// are refused so a late FastAccept cannot strand a pending option after
-  /// the Visibility broadcast has already passed; recovery queries are
-  /// answered from here. GC'd after a horizon.
-  std::unordered_map<TxnId, Decision> decided_;
+  /// Transactions whose decision this replica has learned, each packed as
+  /// `learn time << 1 | commit`; accepts for them are refused so a late
+  /// FastAccept cannot strand a pending option after the Visibility
+  /// broadcast has already passed; recovery queries are answered from here.
+  /// GC'd after a horizon.
+  FlatMap<uint64_t> decided_;
+  /// decided_ size above which a Visibility runs the GC. A pass re-arms it
+  /// at twice its survivors (at least kDecidedGcFloor), so decisions younger
+  /// than the horizon cannot make every learn rescan the whole set.
+  static constexpr size_t kDecidedGcFloor = 100000;
+  size_t decided_gc_at_ = kDecidedGcFloor;
 
   // -- Recovery state ----------------------------------------------------
   struct PendingTxn {

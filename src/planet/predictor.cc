@@ -148,31 +148,31 @@ void ConflictModel::RecordOptionOutcome(Key key, bool chosen) {
 }
 
 void ConflictModel::Touch(KeyMap* per_key, Key key, double x) {
-  auto [it, inserted] = per_key->try_emplace(key, KeyStats{Ewma(alpha_), 0});
-  it->second.ewma.Observe(x);
-  it->second.last_touch = ++tick_;
+  auto [stats, inserted] = per_key->TryEmplace(key, KeyStats{Ewma(alpha_), 0});
+  stats->ewma.Observe(x);
+  stats->last_touch = ++tick_;
   if (inserted && per_key->size() > max_tracked_keys_) {
     // Evict the coldest half by last observation. last_touch is unique per
     // entry, so the survivor set is independent of map iteration order.
     std::vector<std::pair<uint64_t, Key>> by_age;
     by_age.reserve(per_key->size());
-    for (const auto& [k, stats] : *per_key) {
-      by_age.emplace_back(stats.last_touch, k);
-    }
+    per_key->ForEach([&](Key k, const KeyStats& s) {
+      by_age.emplace_back(s.last_touch, k);
+    });
     size_t evict = by_age.size() - max_tracked_keys_ / 2;
     std::nth_element(by_age.begin(),
                      by_age.begin() + static_cast<ptrdiff_t>(evict),
                      by_age.end());
-    for (size_t i = 0; i < evict; ++i) per_key->erase(by_age[i].second);
+    for (size_t i = 0; i < evict; ++i) per_key->Erase(by_age[i].second);
   }
 }
 
 double ConflictModel::Blend(const KeyMap& per_key, const Ewma& global,
                             Key key) {
   double g = global.observations() > 0 ? global.value() : 0.0;
-  auto it = per_key.find(key);
-  if (it == per_key.end()) return g;
-  const Ewma& local = it->second.ewma;
+  const KeyStats* stats = per_key.Find(key);
+  if (stats == nullptr) return g;
+  const Ewma& local = stats->ewma;
   // Blend by observation count: trust the key once it has ~8 observations.
   double w =
       std::min<double>(1.0, static_cast<double>(local.observations()) / 8.0);

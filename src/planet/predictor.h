@@ -18,9 +18,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/histogram.h"
 #include "common/types.h"
 #include "mdcc/client.h"
@@ -211,10 +211,10 @@ class ConflictModel {
 
  private:
   struct KeyStats {
-    Ewma ewma;
+    Ewma ewma{0.0};
     uint64_t last_touch = 0;  ///< model-wide tick of the last observation
   };
-  using KeyMap = std::unordered_map<Key, KeyStats>;
+  using KeyMap = FlatMap<KeyStats>;
 
   static double Blend(const KeyMap& per_key, const Ewma& global, Key key);
 

@@ -5,11 +5,21 @@
 namespace planet {
 
 const Store::Record* Store::Find(Key key) const {
-  auto it = records_.find(key);
-  return it == records_.end() ? nullptr : &it->second;
+  const uint32_t* index = records_.Find(key);
+  return index == nullptr ? nullptr : &RecordAt(*index);
 }
 
-Store::Record& Store::FindOrCreate(Key key) { return records_[key]; }
+Store::Record& Store::FindOrCreate(Key key) {
+  const size_t count = records_.size();
+  auto [index, inserted] =
+      records_.TryEmplace(key, static_cast<uint32_t>(count));
+  if (!inserted) return RecordAt(*index);
+  if (count % kChunkRecords == 0) {
+    PLANET_CHECK(count < (size_t{1} << 32));  // indices are 32-bit
+    chunks_.emplace_back().reserve(kChunkRecords);
+  }
+  return chunks_.back().emplace_back();
+}
 
 RecordView Store::Read(Key key) const {
   PLANET_DCHECK_OWNED(thread_checker_);
@@ -103,9 +113,9 @@ Status Store::TryAcceptOption(const WriteOption& option) {
 
 void Store::RemoveOption(TxnId txn, Key key) {
   PLANET_DCHECK_OWNED(thread_checker_);
-  auto it = records_.find(key);
-  if (it == records_.end()) return;
-  std::erase_if(it->second.pending,
+  const uint32_t* index = records_.Find(key);
+  if (index == nullptr) return;
+  std::erase_if(RecordAt(*index).pending,
                 [&](const WriteOption& p) { return p.txn == txn; });
 }
 
@@ -188,7 +198,9 @@ size_t Store::DeferredCount() const {
 
 size_t Store::TotalPending() const {
   size_t total = 0;
-  for (const auto& [key, rec] : records_) total += rec.pending.size();
+  for (const std::vector<Record>& chunk : chunks_) {
+    for (const Record& rec : chunk) total += rec.pending.size();
+  }
   return total;
 }
 
@@ -201,11 +213,12 @@ std::vector<SyncEntry> Store::ExportState() const {
   PLANET_DCHECK_OWNED(thread_checker_);
   std::vector<SyncEntry> state;
   state.reserve(records_.size());
-  for (const auto& [key, rec] : records_) {
+  records_.ForEach([&](Key key, uint32_t index) {
+    const Record& rec = RecordAt(index);
     state.push_back(SyncEntry{key, rec.version, rec.value,
                               rec.comm_txns.size(), rec.comm_txns});
-  }
-  // records_ is a hash map: sort so sync replies (and anything else built on
+  });
+  // records_ is a hash table: sort so sync replies (and anything else built on
   // the export) are identical across platforms, not just across runs.
   std::sort(state.begin(), state.end(),
             [](const SyncEntry& a, const SyncEntry& b) { return a.key < b.key; });
@@ -241,13 +254,15 @@ void Store::RecoverFromWal() {
   PLANET_DCHECK_OWNED(thread_checker_);
   // Bounds are catalog metadata installed at cluster build time; carry them
   // across the wipe.
-  std::unordered_map<Key, ValueBounds> bounds;
-  for (const auto& [key, rec] : records_) {
-    if (rec.has_bounds) bounds[key] = rec.bounds;
-  }
+  std::vector<std::pair<Key, ValueBounds>> bounds;
+  records_.ForEach([&](Key key, uint32_t index) {
+    const Record& rec = RecordAt(index);
+    if (rec.has_bounds) bounds.emplace_back(key, rec.bounds);
+  });
   records_.clear();
+  chunks_.clear();
   for (const WalEntry& entry : wal_) {
-    Record& rec = records_[entry.key];
+    Record& rec = FindOrCreate(entry.key);
     if (entry.txn == kInvalidTxnId) {
       // Seed or adoption: whole-record install, including the set of
       // commutative transactions the installed value embeds.
@@ -264,7 +279,7 @@ void Store::RecoverFromWal() {
     }
   }
   for (const auto& [key, b] : bounds) {
-    Record& rec = records_[key];
+    Record& rec = FindOrCreate(key);
     rec.bounds = b;
     rec.has_bounds = true;
   }
@@ -279,15 +294,14 @@ void Store::RestoreFromLog(std::vector<WalEntry> entries) {
 std::map<Key, RecordView> Store::Snapshot() const {
   PLANET_DCHECK_OWNED(thread_checker_);
   std::map<Key, RecordView> snapshot;
-  for (const auto& [key, rec] : records_) {
+  records_.ForEach([&](Key key, uint32_t index) {
+    const Record& rec = RecordAt(index);
     // Records still in their logical default state (never committed to) are
     // omitted: whether a replica materialized such a record is an artifact
     // of aborted accepts, not a semantic difference.
-    if (rec.version == 0 && rec.value == 0 && rec.comm_txns.empty()) {
-      continue;
-    }
+    if (rec.version == 0 && rec.value == 0 && rec.comm_txns.empty()) return;
     snapshot[key] = RecordView{rec.version, rec.value};
-  }
+  });
   return snapshot;
 }
 

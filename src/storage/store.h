@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "common/thread_checker.h"
 #include "common/types.h"
@@ -198,6 +199,18 @@ class Store {
     }
   };
 
+  /// Records live in chunks of kChunkRecords that never move, so a record
+  /// reference stays valid while others are created, and materializing a
+  /// record allocates nothing but, now and then, the next chunk.
+  static constexpr uint32_t kChunkShift = 10;
+  static constexpr uint32_t kChunkRecords = uint32_t{1} << kChunkShift;
+
+  Record& RecordAt(uint32_t index) {
+    return chunks_[index >> kChunkShift][index & (kChunkRecords - 1)];
+  }
+  const Record& RecordAt(uint32_t index) const {
+    return chunks_[index >> kChunkShift][index & (kChunkRecords - 1)];
+  }
   const Record* Find(Key key) const;
   Record& FindOrCreate(Key key);
   /// TryAcceptOption's compatibility check against a located record.
@@ -208,7 +221,10 @@ class Store {
   void DrainDeferred(Key key);
 
   ThreadChecker thread_checker_;
-  std::unordered_map<Key, Record> records_;
+  /// key -> index of its record in chunks_.
+  FlatMap<uint32_t> records_;
+  /// Every chunk but the last is full; each keeps its reserved capacity.
+  std::vector<std::vector<Record>> chunks_;
   /// key -> (read_version -> decided option) awaiting earlier versions.
   std::unordered_map<Key, std::map<Version, WriteOption>> deferred_;
   std::vector<WalEntry> wal_;

@@ -290,5 +290,25 @@ TEST_F(ReplicaFixture, SyncAdoptsCounterWithMoreDeltas) {
   EXPECT_EQ(replica(0)->store().Read(9).value, 8);
 }
 
+// Regression: once the decided set outgrew its GC threshold with every
+// decision younger than the horizon, each Visibility rescanned the whole
+// set and freed nothing: learning 150,000 decisions took about 18 s. A
+// pass now re-arms the threshold at twice its survivors.
+TEST_F(ReplicaFixture, DecidedSetGcKeepsYoungDecisionsCheap) {
+  constexpr TxnId kDecisions = 150000;
+  for (TxnId txn = 1; txn <= kDecisions; ++txn) {
+    replica(0)->HandleVisibility(txn, txn % 2 == 0, {});
+  }
+  sim_.Run();
+  bool known = false;
+  bool committed = true;
+  replica(0)->HandleResolveQuery(1, [&](bool k, bool c) {
+    known = k;
+    committed = c;
+  });
+  EXPECT_TRUE(known) << "a decision younger than the horizon stays";
+  EXPECT_FALSE(committed);
+}
+
 }  // namespace
 }  // namespace planet

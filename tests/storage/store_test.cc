@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 namespace planet {
 namespace {
 
@@ -204,9 +208,9 @@ TEST(Store, AdoptRecordRefusesStaleState) {
   Store store;
   store.SeedValue(1, 10);
   store.SeedValue(1, 20);  // version 2
-  EXPECT_FALSE(store.AdoptRecord(SyncEntry{1, 1, 99, 0}));
+  EXPECT_FALSE(store.AdoptRecord(SyncEntry{1, 1, 99, 0, {}}));
   EXPECT_EQ(store.Read(1).value, 20);
-  EXPECT_TRUE(store.AdoptRecord(SyncEntry{1, 3, 30, 0}));
+  EXPECT_TRUE(store.AdoptRecord(SyncEntry{1, 3, 30, 0, {}}));
   EXPECT_EQ(store.Read(1).value, 30);
 }
 
@@ -214,9 +218,9 @@ TEST(Store, AdoptRecordUsesDeltaCountAtEqualVersion) {
   Store store;
   store.ApplyOrLearn(Commutative(1, 9, 5));  // value 5, 1 delta, version 0
   // Same version, fewer deltas: refused.
-  EXPECT_FALSE(store.AdoptRecord(SyncEntry{9, 0, 0, 0}));
+  EXPECT_FALSE(store.AdoptRecord(SyncEntry{9, 0, 0, 0, {}}));
   // Same version, more deltas: adopted.
-  EXPECT_TRUE(store.AdoptRecord(SyncEntry{9, 0, 8, 2}));
+  EXPECT_TRUE(store.AdoptRecord(SyncEntry{9, 0, 8, 2, {}}));
   EXPECT_EQ(store.Read(9).value, 8);
 }
 
@@ -263,7 +267,7 @@ TEST(Store, DirectReapplicationOfSameDeltaIsIdempotent) {
 TEST(Store, AdoptRecordKeepsPendingOptions) {
   Store store;
   ASSERT_TRUE(store.TryAcceptOption(Commutative(7, 3, 1)).ok());
-  EXPECT_TRUE(store.AdoptRecord(SyncEntry{3, 2, 50, 0}));
+  EXPECT_TRUE(store.AdoptRecord(SyncEntry{3, 2, 50, 0, {}}));
   EXPECT_EQ(store.TotalPending(), 1u) << "sync must not drop pendings";
   EXPECT_EQ(store.Read(3).value, 50);
 }
@@ -352,6 +356,64 @@ TEST(Store, RefusedAdoptionLeavesDeferredChain) {
   EXPECT_FALSE(store.AdoptRecord(SyncEntry{1, 1, 10, 0, {}}));
   EXPECT_EQ(store.DeferredCount(), 1u);
   EXPECT_EQ(store.Read(1).version, 1u);
+}
+
+// More records than one index doubling or one record chunk holds: every
+// third key is accepted and applied, every third adopted from a peer, and
+// every third only accepted (pending, still at the logical default).
+TEST(Store, ManyRecordsMatchAMapReference) {
+  constexpr uint64_t kKeys = 120000;
+  Store store;
+  std::map<Key, RecordView> committed;
+  std::vector<SyncEntry> exported;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    const Key key = i * 2654435761u;  // distinct and not sequential
+    const Value value = static_cast<Value>(i) + 1;
+    switch (i % 3) {
+      case 0:
+        ASSERT_TRUE(store.TryAcceptOption(Physical(i + 1, key, 0, value)).ok());
+        store.ApplyOrLearn(Physical(i + 1, key, 0, value));
+        committed[key] = RecordView{1, value};
+        break;
+      case 1:
+        ASSERT_TRUE(store.AdoptRecord(SyncEntry{key, 5, value, 0, {}}));
+        committed[key] = RecordView{5, value};
+        break;
+      default:
+        ASSERT_TRUE(store.TryAcceptOption(Physical(i + 1, key, 0, value)).ok());
+        exported.push_back(SyncEntry{key, 0, 0, 0, {}});
+        break;
+    }
+  }
+  for (const auto& [key, view] : committed) {
+    exported.push_back(SyncEntry{key, view.version, view.value, 0, {}});
+  }
+  std::sort(exported.begin(), exported.end(),
+            [](const SyncEntry& a, const SyncEntry& b) {
+              return a.key < b.key;
+            });
+
+  auto expect_state = [&](size_t pending) {
+    EXPECT_EQ(store.Snapshot(), committed);
+    EXPECT_EQ(store.TotalPending(), pending);
+    for (const auto& [key, view] : committed) {
+      ASSERT_EQ(store.Read(key), view) << "key " << key;
+    }
+    EXPECT_EQ(store.Read(1), RecordView{}) << "never touched";
+    std::vector<SyncEntry> state = store.ExportState();
+    ASSERT_EQ(state.size(), exported.size());
+    for (size_t i = 0; i < state.size(); ++i) {
+      ASSERT_EQ(state[i].key, exported[i].key);
+      ASSERT_EQ(state[i].version, exported[i].version);
+      ASSERT_EQ(state[i].value, exported[i].value);
+    }
+  };
+  expect_state(kKeys / 3);
+  // Replay keeps the committed records; pending-only ones come back only
+  // if logged, and accepts are not.
+  store.RecoverFromWal();
+  std::erase_if(exported, [](const SyncEntry& e) { return e.version == 0; });
+  expect_state(0);
 }
 
 }  // namespace
